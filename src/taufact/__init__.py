@@ -15,14 +15,13 @@ from .engine import (
     ElasticityReport,
     EnumerationBudget,
     TauFactorization,
-    atomic_tau_factorizations,
     elasticity,
     enumerate_tau_factorizations,
     is_tau_atom,
 )
 from .errors import TaufactError
 from .partitions import multiset_partitions, vector_partitions
-from .poly import Poly, divmod_monic, poly_add, poly_mul
+from .poly import Poly, divmod_monic
 from .predictors import (
     Atomicity,
     Census,
@@ -77,65 +76,3 @@ from .syntax import (
     render_primes_spec,
 )
 
-__all__ = [
-    "Atomicity",
-    "CayleyTable",
-    "Census",
-    "DEFAULT_BUDGET",
-    "ElasticityReport",
-    "Element",
-    "EnumerationBudget",
-    "FactoredElement",
-    "Ideal",
-    "IsoClass",
-    "IsoMap",
-    "Poly",
-    "PredictedProfile",
-    "PredictionContext",
-    "QuotientFingerprint",
-    "Residue",
-    "Ring",
-    "TauFactorization",
-    "TaufactError",
-    "atomic_tau_factorizations",
-    "build_factored",
-    "build_iso_map",
-    "canonical_associate",
-    "cayley_table",
-    "class_census",
-    "classify",
-    "classify_order4",
-    "congruent",
-    "divmod_monic",
-    "elasticity",
-    "enumerate_residues",
-    "enumerate_tau_factorizations",
-    "expand",
-    "find_prime_in_class",
-    "find_primes_in_class",
-    "is_tau_atom",
-    "is_unit",
-    "load_registry",
-    "multiset_partitions",
-    "parse_element",
-    "parse_ideal",
-    "parse_poly",
-    "parse_primes_spec",
-    "poly_add",
-    "poly_mul",
-    "predict_f4",
-    "predict_profile",
-    "predict_z4",
-    "predict_zx_x2p1",
-    "predict_zx_x2px",
-    "prediction_context",
-    "quotient_fingerprint",
-    "reduce",
-    "render_ideal",
-    "render_primes_spec",
-    "sequence_element",
-    "unit_classes",
-    "unit_elements",
-    "vector_partitions",
-    "verify_prime",
-]

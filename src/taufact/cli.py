@@ -28,7 +28,7 @@ from .engine import (
     enumerate_tau_factorizations,
     is_tau_atom,
 )
-from .errors import TaufactError
+from .errors import TaufactError, UnsupportedDegree
 from .quotient import cayley_table, classify, reduce
 from .rings import Ring, build_factored, expand, load_registry
 from .syntax import parse_element, parse_ideal, parse_primes_spec, render_ideal, render_primes_spec
@@ -169,7 +169,11 @@ def _parse_factored(ring, ideal_text, primes_text, unit):
     rng = _ring(ring, ideal_text)
     ideal = parse_ideal(ideal_text, rng)
     parts = parse_primes_spec(primes_text, rng)
-    fe = build_factored(rng, unit, parts, _registry())
+    try:
+        fe = build_factored(rng, unit, parts)
+    except UnsupportedDegree:
+        # The registry is read only when the built-in test cannot decide a prime.
+        fe = build_factored(rng, unit, parts, _registry())
     return rng, ideal, fe
 
 
@@ -188,9 +192,13 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget, fmt):
         rng, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
         budget_obj = _budget(budget)
         factorizations = enumerate_tau_factorizations(fe, ideal, budget_obj)
+        atoms: dict = {}  # blocks recur across factorizations
         payload = []
         for tf in factorizations:
-            flags = [is_tau_atom(block, ideal, budget_obj) for block in tf.blocks]
+            for block in tf.blocks:
+                if block not in atoms:
+                    atoms[block] = is_tau_atom(block, ideal, budget_obj)
+            flags = [atoms[block] for block in tf.blocks]
             payload.append(
                 {
                     "lambda": tf.lam,

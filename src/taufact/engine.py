@@ -15,22 +15,24 @@ linear in the block count.  The first valid assignment in plus-before-minus
 order is kept as the witness, which makes witnesses reproducible.
 
 An element is a tau-atom when no candidate with two or more blocks admits a
-sign witness.  Atomhood is memoized on the canonical associate of the
-expanded element together with the ideal, because the same sub-blocks recur
-across partitions and across calls.  All public results are canonically
-sorted before returning, so output never depends on exploration order.
+sign witness.  Whether a candidate admits one does not depend on block
+order, so only the enumerator sorts blocks.  Atomhood depends only on the
+block and the ideal; it is memoized per call on the block's part-vector,
+because the same sub-blocks recur across partitions.  All public results are
+canonically sorted before returning, so output never depends on exploration
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import BudgetExceeded, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
 from .quotient import Ideal, Residue, reduce
-from .rings import Element, FactoredElement, canonical_associate, expand, one
+from .rings import Element, FactoredElement, expand, one
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,13 @@ class ElasticityReport:
     atomic_count: int
 
 
-_ATOM_MEMO: dict = {}
-
-
-def clear_atom_memo() -> None:
-    _ATOM_MEMO.clear()
-
-
 class _Context:
-    """Per-call state: the prime multiset as a vector plus product and
-    residue caches keyed on part-vectors."""
+    """Per-call state: the prime multiset as a vector plus product, residue
+    and atomhood caches keyed on part-vectors."""
 
-    __slots__ = ("fe", "ideal", "budget", "primes", "vector", "_products", "_residues")
+    __slots__ = (
+        "fe", "ideal", "budget", "primes", "vector", "_products", "_residues", "_atoms",
+    )
 
     def __init__(self, fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget):
         if fe.ring is not ideal.ring:
@@ -104,6 +101,12 @@ class _Context:
         self.vector = tuple(exp for _, exp in fe.factors)
         self._products: dict = {}
         self._residues: dict = {}
+        self._atoms: dict = {}
+
+    def partitions(self, part: tuple[int, ...], min_blocks: int = 1):
+        return vector_partitions(
+            part, min_blocks=min_blocks, max_partitions=self.budget.max_partitions
+        )
 
     def product(self, part: tuple[int, ...]) -> Element:
         cached = self._products.get(part)
@@ -142,26 +145,22 @@ class _Context:
                 return tuple(signs)
         return None
 
+    def is_atom(self, part: tuple[int, ...]) -> bool:
+        """True iff the block with this part-vector has no sign-resolvable
+        split into two or more blocks."""
+        cached = self._atoms.get(part)
+        if cached is None:
+            cached = self._atoms[part] = all(
+                self.resolve_signs(split) is None
+                for split in self.partitions(part, min_blocks=2)
+            )
+        return cached
+
     def block(self, part: tuple[int, ...]) -> FactoredElement:
         factors = tuple(
             (prime, mult) for prime, mult in zip(self.primes, part) if mult
         )
         return FactoredElement(self.fe.ring, 1, factors)
-
-    def candidates(self, min_blocks: int = 1) -> Iterator[tuple[list, tuple[int, ...]]]:
-        """Sign-resolvable partitions as (blocks sorted ascending, signs)."""
-        for partition in vector_partitions(
-            self.vector, min_blocks=min_blocks, max_partitions=self.budget.max_partitions
-        ):
-            parts = sorted(partition, key=lambda p: self.product(p).sort_key)
-            signs = self.resolve_signs(parts)
-            if signs is not None:
-                yield parts, signs
-
-    def block_is_atom(self, part: tuple[int, ...]) -> bool:
-        if sum(part) == 1:
-            return True
-        return is_tau_atom(self.block(part), self.ideal, self.budget)
 
 
 def enumerate_tau_factorizations(
@@ -172,7 +171,12 @@ def enumerate_tau_factorizations(
     length-1 factorization."""
     ctx = _Context(fe, ideal, budget)
     found = []
-    for parts, signs in ctx.candidates():
+    for partition in ctx.partitions(ctx.vector):
+        # Sorting before resolving fixes which block leads, hence the witness.
+        parts = sorted(partition, key=lambda p: ctx.product(p).sort_key)
+        signs = ctx.resolve_signs(parts)
+        if signs is None:
+            continue
         lam = fe.unit
         for s in signs:
             lam *= s
@@ -188,39 +192,7 @@ def is_tau_atom(
 ) -> bool:
     """True iff fe admits no tau-factorization with two or more blocks."""
     ctx = _Context(fe, ideal, budget)
-    _, canon = canonical_associate(expand(fe))
-    memo_key = (canon, ideal)
-    cached = _ATOM_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
-    result = True
-    for partition in vector_partitions(
-        ctx.vector, min_blocks=2, max_partitions=budget.max_partitions
-    ):
-        if ctx.resolve_signs(partition) is not None:
-            result = False
-            break
-    _ATOM_MEMO[memo_key] = result
-    return result
-
-
-def atomic_tau_factorizations(
-    fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[TauFactorization]:
-    """The tau-factorizations of fe whose every block is a tau-atom."""
-    ctx = _Context(fe, ideal, budget)
-    found = []
-    for parts, signs in ctx.candidates():
-        if not all(ctx.block_is_atom(p) for p in parts):
-            continue
-        lam = fe.unit
-        for s in signs:
-            lam *= s
-        blocks = tuple(ctx.block(p) for p in parts)
-        key = (len(parts), tuple(ctx.product(p).sort_key for p in parts))
-        found.append((key, TauFactorization(lam, blocks, signs)))
-    found.sort(key=lambda item: item[0])
-    return [tf for _, tf in found]
+    return ctx.is_atom(ctx.vector)
 
 
 def elasticity(
@@ -236,11 +208,13 @@ def elasticity(
     factorization_count = 0
     atomic_count = 0
     lengths: set[int] = set()
-    for parts, _ in ctx.candidates():
+    for partition in ctx.partitions(ctx.vector):
+        if ctx.resolve_signs(partition) is None:
+            continue
         factorization_count += 1
-        if all(ctx.block_is_atom(p) for p in parts):
+        if all(ctx.is_atom(p) for p in partition):
             atomic_count += 1
-            lengths.add(len(parts))
+            lengths.add(len(partition))
     if lengths:
         lo, hi = min(lengths), max(lengths)
         return ElasticityReport(

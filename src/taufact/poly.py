@@ -164,14 +164,6 @@ class Poly:
         return text
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 def divmod_monic(a: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Exact division of a by a monic g over ZZ: a == q*g + r, deg r < deg g."""
     if not g.is_monic:

@@ -99,14 +99,10 @@ def congruent(a: Element, b: Element, ideal: Ideal) -> bool:
     return reduce(a, ideal) == reduce(b, ideal)
 
 
-def residue_element(r: Residue) -> Element:
-    return Element(r.ideal.ring, r.rep)
-
-
 def residue_mul(a: Residue, b: Residue) -> Residue:
     if a.ideal != b.ideal:
         raise RingMismatch("residues belong to different ideals")
-    return reduce(residue_element(a) * residue_element(b), a.ideal)
+    return reduce(Element(a.ideal.ring, a.rep * b.rep), a.ideal)
 
 
 def residue_add(a: Residue, b: Residue) -> Residue:
@@ -141,9 +137,6 @@ class CayleyTable:
     ideal: Ideal
     residues: tuple[Residue, ...]
     product: tuple[tuple[int, ...], ...]
-
-    def index(self, r: Residue) -> int:
-        return self.residues.index(r)
 
     def entry(self, i: int, j: int) -> Residue:
         return self.residues[self.product[i][j]]

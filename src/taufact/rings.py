@@ -19,7 +19,9 @@ import enum
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import NotPrime, RingMismatch, UnsupportedDegree, ZeroElement, ZeroOrUnitInput
+from .errors import (
+    NotPrime, ParseError, RingMismatch, UnsupportedDegree, ZeroElement, ZeroOrUnitInput,
+)
 from .poly import Poly, has_rational_root
 
 
@@ -130,7 +132,8 @@ def verify_prime(e: Element, registry: frozenset = frozenset()) -> bool:
     ZZ: trial division.  ZZ[x]: degree 0 reduces to integer primality;
     degree >= 1 requires content 1, and irreducibility over QQ is decided by
     the rational-root criterion for degrees up to 3.  Degree >= 4 primitive
-    polynomials raise UnsupportedDegree unless whitelisted in ``registry``.
+    polynomials raise UnsupportedDegree unless whitelisted in ``registry``;
+    the registry is never consulted for what the tests above decide.
     """
     if e.is_zero or is_unit(e):
         raise ZeroOrUnitInput("primality is undefined for zero and units")
@@ -140,14 +143,14 @@ def verify_prime(e: Element, registry: frozenset = frozenset()) -> bool:
     p = canon.value
     if p.degree == 0:
         return is_prime_int(p.constant_coefficient)
-    if p in registry:
-        return True
     if p.content != 1:
         return False
     if p.degree == 1:
         return True
     if p.degree <= 3:
         return not has_rational_root(p)
+    if p in registry:
+        return True
     raise UnsupportedDegree(
         f"cannot decide primality of degree-{p.degree} polynomial {p}; "
         "add it to the trusted registry if it is known prime"
@@ -217,16 +220,25 @@ def expand(fe: FactoredElement) -> Element:
 
 def load_registry(path: str) -> frozenset:
     """Read the trusted prime registry: one polynomial per line in the
-    shared text syntax; blank lines and #-comments are skipped."""
+    shared text syntax; blank lines and #-comments are skipped.
+
+    Only primitive polynomials of degree >= 4 may be listed; an entry that
+    ``verify_prime`` decides itself raises ParseError naming its line.
+    """
     from .syntax import parse_poly
 
     entries = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             p = parse_poly(line)
+            if p.degree <= 3 or p.content != 1:
+                raise ParseError(
+                    f"registry line {lineno}: {line!r} is not a primitive polynomial "
+                    "of degree >= 4; its primality is decided without the registry"
+                )
             if p.leading_coefficient < 0:
                 p = -p
             entries.add(p)

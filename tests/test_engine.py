@@ -4,7 +4,6 @@ import pytest
 
 from taufact.engine import (
     EnumerationBudget,
-    atomic_tau_factorizations,
     elasticity,
     enumerate_tau_factorizations,
     is_tau_atom,
@@ -38,6 +37,13 @@ def seq(i):
 
 def block_values(tf):
     return tuple(expand(b) for b in tf.blocks)
+
+
+def atomic_factorizations(fe, ideal):
+    return [
+        tf for tf in enumerate_tau_factorizations(fe, ideal)
+        if all(is_tau_atom(b, ideal) for b in tf.blocks)
+    ]
 
 
 def test_28_mod_3_factorizations():
@@ -76,7 +82,7 @@ def test_atom_examples():
 
 def test_atomic_factorizations_28():
     fe = z_factored((2, 2), (7, 1))
-    atomic = atomic_tau_factorizations(fe, I3)
+    atomic = atomic_factorizations(fe, I3)
     assert len(atomic) == 1
     assert atomic[0].length == 3
     assert tuple(str(v) for v in block_values(atomic[0])) == ("2", "2", "7")
@@ -84,7 +90,7 @@ def test_atomic_factorizations_28():
 
 def test_atomic_factorizations_20():
     fe = z_factored((2, 2), (5, 1))
-    atomic = atomic_tau_factorizations(fe, I3)
+    atomic = atomic_factorizations(fe, I3)
     assert len(atomic) == 1 and atomic[0].length == 3
     report = elasticity(fe, I3)
     assert report.is_atomic and report.atomic_lengths == frozenset({3})
@@ -101,7 +107,7 @@ def test_non_atomic_witness():
             (X, 1),
         ],
     )
-    assert atomic_tau_factorizations(fe, I4X) == []
+    assert atomic_factorizations(fe, I4X) == []
     report = elasticity(fe, I4X)
     assert not report.is_atomic
     assert report.atomic_lengths == frozenset()
@@ -122,7 +128,7 @@ def test_elasticity_counts_are_consistent():
     fe = z_factored((2, 2), (7, 1))
     report = elasticity(fe, I3)
     assert report.factorization_count == len(enumerate_tau_factorizations(fe, I3))
-    assert report.atomic_count == len(atomic_tau_factorizations(fe, I3))
+    assert report.atomic_count == len(atomic_factorizations(fe, I3))
     assert report.atomic_lengths <= {tf.length for tf in enumerate_tau_factorizations(fe, I3)}
 
 
@@ -144,6 +150,15 @@ def test_budget_guards():
                 z_factored((2, 3), (3, 3)), I3, EnumerationBudget(max_partitions=3)
             )
         )
+
+
+def test_budget_outcome_independent_of_earlier_calls():
+    tight = EnumerationBudget(max_partitions=3)
+    with pytest.raises(BudgetExceeded):
+        is_tau_atom(seq(4), IX2PX, tight)
+    assert not is_tau_atom(seq(4), IX2PX)
+    with pytest.raises(BudgetExceeded):
+        is_tau_atom(seq(4), IX2PX, tight)
 
 
 def test_associate_invariance():
@@ -172,8 +187,6 @@ def test_determinism_across_runs():
 def test_determinism_under_concurrent_use():
     from concurrent.futures import ThreadPoolExecutor
 
-    from taufact.engine import clear_atom_memo
-
     inputs = [
         (z_factored((2, 2), (7, 1)), I3),
         (z_factored((2, 3), (3, 2)), Ideal(Ring.Z, 4)),
@@ -184,7 +197,6 @@ def test_determinism_under_concurrent_use():
         (r.is_atomic, r.atomic_lengths, r.elasticity, r.factorization_count)
         for r in (elasticity(fe, ideal) for fe, ideal in inputs)
     ]
-    clear_atom_memo()
     with ThreadPoolExecutor(max_workers=8) as pool:
         futures = [
             pool.submit(elasticity, fe, ideal)
