@@ -20,7 +20,7 @@ from .engine import (
     is_tau_atom,
 )
 from .errors import TaufactError
-from .partitions import multiset_partitions, vector_partitions
+from .partitions import vector_partitions
 from .poly import Poly, divmod_monic
 from .predictors import (
     Atomicity,
@@ -31,7 +31,6 @@ from .predictors import (
     build_iso_map,
     class_census,
     predict_f4,
-    predict_profile,
     predict_z4,
     predict_zx_x2p1,
     predict_zx_x2px,
@@ -64,7 +63,6 @@ from .rings import (
     expand,
     is_unit,
     load_registry,
-    unit_elements,
     verify_prime,
 )
 from .syntax import (

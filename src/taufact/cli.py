@@ -274,14 +274,12 @@ def cmd_elasticity(ring, ideal_text, primes_text, unit, budget, fmt):
 
 
 @main.command("sequence")
-@click.option("--max-i", "max_i", type=int, default=4, show_default=True)
+@click.option("--max-i", "max_i", type=click.IntRange(min=1), default=4, show_default=True)
 @budget_option
 @format_option
 def cmd_sequence(max_i, budget, fmt):
     """Oracle elasticity table for x^i (x+1)^i under (2, x^2+x)."""
     started = time.perf_counter()
-    if max_i < 1:
-        raise click.UsageError("--max-i must be >= 1")
     try:
         rows = run_main_sequence(max_i, _budget(budget))
     except TaufactError as exc:
@@ -309,9 +307,9 @@ def cmd_sequence(max_i, budget, fmt):
     "suite",
     type=click.Choice(["lemma1", "lemma2", "lemma3", "lemma4", "main", "hfd-z-small"]),
 )
-@click.option("--samples", type=int, default=200, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-i", "max_i", type=int, default=5, show_default=True)
+@click.option("--max-i", "max_i", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--bound", type=int, default=50, show_default=True, help="Witness-prime search bound.")
 @budget_option
 @format_option

@@ -8,19 +8,19 @@ and under that identification a candidate is exactly one multiset partition
 of the primes: block products of canonical primes are themselves canonical,
 and unique factorization keeps distinct partitions distinct.
 
-The sign search per candidate is not exponential.  Pairwise congruence of
-the signed blocks means they all hit one target residue, and the target must
-be one of the two signed residues of the first block, so resolving signs is
-linear in the block count.  The first valid assignment in plus-before-minus
-order is kept as the witness, which makes witnesses reproducible.
+The units of Z and Z[x] are 1 and -1, so a partition admits signs exactly
+when every block lies in one class {r, -r} of residues up to sign.  The
+enumeration therefore generates only partitions whose blocks share that
+class, and every partition it yields is a tau-factorization.  The witness
+signs a block +1 when its residue equals the first block's residue and -1
+otherwise; the enumerator sorts blocks first, so the witness is
+reproducible.
 
-An element is a tau-atom when no candidate with two or more blocks admits a
-sign witness.  Whether a candidate admits one does not depend on block
-order, so only the enumerator sorts blocks.  Atomhood depends only on the
-block and the ideal; it is memoized per call on the block's part-vector,
-because the same sub-blocks recur across partitions.  All public results are
-canonically sorted before returning, so output never depends on exploration
-order.
+An element is a tau-atom when no split into two or more blocks is yielded.
+Atomhood depends only on the block and the ideal; it is memoized per call
+on the block's part-vector, because the same sub-blocks recur across
+partitions.  All public results are canonically sorted before returning, so
+output never depends on exploration order.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ from .rings import Element, FactoredElement, expand, one
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps on the enumeration; exceeding one raises BudgetExceeded."""
+    """Caps on the enumeration; exceeding one raises BudgetExceeded.
+
+    ``max_primes`` caps the total prime multiplicity of the input;
+    ``max_partitions`` caps the candidate blocks one partition search
+    examines, whether or not they end up in a yielded partition.
+    """
 
     max_primes: int = 14
     max_partitions: int = 1_000_000
@@ -77,11 +82,12 @@ class ElasticityReport:
 
 
 class _Context:
-    """Per-call state: the prime multiset as a vector plus product, residue
-    and atomhood caches keyed on part-vectors."""
+    """Per-call state: the prime multiset as a vector plus product, residue,
+    sign-class and atomhood caches keyed on part-vectors."""
 
     __slots__ = (
-        "fe", "ideal", "budget", "primes", "vector", "_products", "_residues", "_atoms",
+        "fe", "ideal", "budget", "primes", "vector",
+        "_products", "_residues", "_classes", "_atoms",
     )
 
     def __init__(self, fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget):
@@ -101,11 +107,12 @@ class _Context:
         self.vector = tuple(exp for _, exp in fe.factors)
         self._products: dict = {}
         self._residues: dict = {}
+        self._classes: dict = {}
         self._atoms: dict = {}
 
     def partitions(self, part: tuple[int, ...], min_blocks: int = 1):
         return vector_partitions(
-            part, min_blocks=min_blocks, max_partitions=self.budget.max_partitions
+            part, self.sign_class, min_blocks, self.budget.max_partitions
         )
 
     def product(self, part: tuple[int, ...]) -> Element:
@@ -118,42 +125,27 @@ class _Context:
             cached = self._products[part] = acc
         return cached
 
-    def signed_residues(self, part: tuple[int, ...]) -> tuple[Residue, Residue]:
+    def residue(self, part: tuple[int, ...]) -> Residue:
         cached = self._residues.get(part)
         if cached is None:
-            prod = self.product(part)
-            cached = self._residues[part] = (
-                reduce(prod, self.ideal),
-                reduce(-prod, self.ideal),
-            )
+            cached = self._residues[part] = reduce(self.product(part), self.ideal)
         return cached
 
-    def resolve_signs(self, parts) -> Optional[tuple[int, ...]]:
-        plus0, minus0 = self.signed_residues(parts[0])
-        targets = (plus0,) if plus0 == minus0 else (plus0, minus0)
-        for target in targets:
-            signs = []
-            for part in parts:
-                plus, minus = self.signed_residues(part)
-                if plus == target:
-                    signs.append(1)
-                elif minus == target:
-                    signs.append(-1)
-                else:
-                    break
-            else:
-                return tuple(signs)
-        return None
+    def sign_class(self, part: tuple[int, ...]) -> frozenset[Residue]:
+        """The block's residues up to sign: {r, -r}."""
+        cached = self._classes.get(part)
+        if cached is None:
+            minus = reduce(-self.product(part), self.ideal)
+            cached = self._classes[part] = frozenset((self.residue(part), minus))
+        return cached
 
     def is_atom(self, part: tuple[int, ...]) -> bool:
-        """True iff the block with this part-vector has no sign-resolvable
-        split into two or more blocks."""
+        """True iff the block with this part-vector has no split into two or
+        more blocks of one sign class."""
         cached = self._atoms.get(part)
         if cached is None:
-            cached = self._atoms[part] = all(
-                self.resolve_signs(split) is None
-                for split in self.partitions(part, min_blocks=2)
-            )
+            split = next(self.partitions(part, min_blocks=2), None)
+            cached = self._atoms[part] = split is None
         return cached
 
     def block(self, part: tuple[int, ...]) -> FactoredElement:
@@ -172,11 +164,10 @@ def enumerate_tau_factorizations(
     ctx = _Context(fe, ideal, budget)
     found = []
     for partition in ctx.partitions(ctx.vector):
-        # Sorting before resolving fixes which block leads, hence the witness.
+        # Sorting fixes which block leads, hence the witness.
         parts = sorted(partition, key=lambda p: ctx.product(p).sort_key)
-        signs = ctx.resolve_signs(parts)
-        if signs is None:
-            continue
+        lead = ctx.residue(parts[0])
+        signs = tuple(1 if ctx.residue(p) == lead else -1 for p in parts)
         lam = fe.unit
         for s in signs:
             lam *= s
@@ -209,8 +200,6 @@ def elasticity(
     atomic_count = 0
     lengths: set[int] = set()
     for partition in ctx.partitions(ctx.vector):
-        if ctx.resolve_signs(partition) is None:
-            continue
         factorization_count += 1
         if all(ctx.is_atom(p) for p in partition):
             atomic_count += 1

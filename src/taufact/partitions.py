@@ -1,4 +1,4 @@
-"""Multiset partition enumeration.
+"""Multiset partition enumeration, restricted to one key class.
 
 A multiset is handled as a multiplicity vector over its distinct elements.
 A partition is a multiset of nonzero part-vectors summing to the whole; it
@@ -7,104 +7,93 @@ is generated exactly once, with parts in non-increasing lexicographic order
 whole vector, so the trivial one-block partition always comes first and
 callers that only need proper splits can skip it cheaply.
 
+Only partitions whose parts all share one ``key`` are generated: the first
+part fixes the key, and a candidate part with another key is skipped before
+the search descends below it.
+
 Enumeration is depth first: choose the lex-largest remaining part below the
-current bound, recurse on what is left.  A part whose leading components are
-zero forces every later part to share those zeros, so branches that strand
-multiplicity in an earlier component are pruned immediately.
+current bound, recurse on what is left.  In non-increasing order every part
+must contain the first nonzero coordinate of what remains, since a later,
+lex-smaller part could not cover it; only such parts are generated.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Hashable, Iterator, Optional
 
 from .errors import BudgetExceeded
 
-T = TypeVar("T")
+
+class _Budget:
+    """Counts candidate parts examined by one enumeration."""
+
+    __slots__ = ("cap", "examined")
+
+    def __init__(self, cap: Optional[int]):
+        self.cap = cap
+        self.examined = 0
+
+    def charge(self) -> None:
+        self.examined += 1
+        if self.cap is not None and self.examined > self.cap:
+            raise BudgetExceeded(f"partition budget of {self.cap} exhausted")
 
 
 def vector_partitions(
     vector: tuple[int, ...],
+    key: Callable[[tuple[int, ...]], Hashable],
     min_blocks: int = 1,
     max_partitions: Optional[int] = None,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield partitions of a multiplicity vector as tuples of part-vectors."""
+    """Yield the partitions of a multiplicity vector whose parts share one
+    ``key(part)``, as tuples of part-vectors.
+
+    ``max_partitions`` caps the candidate parts examined, not the partitions
+    yielded, so a search that finds nothing stops as well.
+    """
     if not vector or not any(vector):
         raise ValueError("vector must have positive total multiplicity")
-    emitted = 0
-    zero = (0,) * len(vector)
+    yield from _partitions(vector, vector, [], None, key, min_blocks, _Budget(max_partitions))
 
-    def rec(remaining, bound, acc):
-        nonlocal emitted
-        if remaining == zero:
-            if len(acc) >= min_blocks:
-                emitted += 1
-                if max_partitions is not None and emitted > max_partitions:
-                    raise BudgetExceeded(
-                        f"partition budget of {max_partitions} exhausted"
-                    )
-                yield tuple(acc)
-            return
-        for part in _parts_descending(remaining, bound):
-            first = next(i for i, v in enumerate(part) if v)
-            if any(remaining[i] > part[i] for i in range(first)):
-                continue  # stranded multiplicity in a more significant slot
-            acc.append(part)
-            yield from rec(
-                tuple(r - p for r, p in zip(remaining, part)), part, acc
-            )
-            acc.pop()
 
-    yield from rec(vector, vector, [])
+def _partitions(remaining, bound, acc, target, key, min_blocks, budget):
+    if not any(remaining):
+        if len(acc) >= min_blocks:
+            yield tuple(acc)
+        return
+    for part in _parts_descending(remaining, bound):
+        budget.charge()
+        part_key = key(part)
+        if acc and part_key != target:
+            continue
+        acc.append(part)
+        yield from _partitions(
+            tuple(r - p for r, p in zip(remaining, part)),
+            part, acc, part_key, key, min_blocks, budget,
+        )
+        acc.pop()
 
 
 def _parts_descending(remaining, bound):
-    """Nonzero vectors p with p <= remaining componentwise and p <= bound
-    lexicographically, in descending lexicographic order."""
-    n = len(remaining)
-
-    def rec(i, tight, prefix):
-        if i == n:
-            if any(prefix):
-                yield tuple(prefix)
-            return
-        hi = min(remaining[i], bound[i]) if tight else remaining[i]
-        for d in range(hi, -1, -1):
-            prefix.append(d)
-            yield from rec(i + 1, tight and d == bound[i], prefix)
-            prefix.pop()
-
-    yield from rec(0, True, [])
+    """Vectors p <= remaining componentwise and p <= bound lexicographically
+    that contain the first nonzero coordinate of remaining, in descending
+    lexicographic order."""
+    lead = next(i for i, r in enumerate(remaining) if r)
+    tight = not any(bound[:lead])
+    hi = min(remaining[lead], bound[lead]) if tight else remaining[lead]
+    prefix = [0] * lead
+    for d in range(hi, 0, -1):
+        prefix.append(d)
+        yield from _suffixes(remaining, bound, lead + 1, tight and d == bound[lead], prefix)
+        prefix.pop()
 
 
-def multiset_partitions(
-    items: Iterable[T],
-    min_blocks: int = 1,
-    max_partitions: Optional[int] = None,
-    key=None,
-) -> Iterator[tuple[tuple[T, ...], ...]]:
-    """Partitions of a multiset of items into unordered nonempty blocks.
-
-    Every partition appears exactly once (duplicates arising from equal
-    items are never generated) in a deterministic order.  Items must be
-    sortable, or supply ``key``.
-    """
-    pool = sorted(items, key=key)
-    if not pool:
-        raise ValueError("multiset must be nonempty")
-    distinct: list[T] = []
-    counts: list[int] = []
-    for item in pool:
-        if distinct and item == distinct[-1]:
-            counts[-1] += 1
-        else:
-            distinct.append(item)
-            counts.append(1)
-    for parts in vector_partitions(tuple(counts), min_blocks, max_partitions):
-        yield tuple(
-            tuple(
-                elem
-                for elem, mult in zip(distinct, part)
-                for _ in range(mult)
-            )
-            for part in parts
-        )
+def _suffixes(remaining, bound, i, tight, prefix):
+    if i == len(remaining):
+        yield tuple(prefix)
+        return
+    hi = min(remaining[i], bound[i]) if tight else remaining[i]
+    for d in range(hi, -1, -1):
+        prefix.append(d)
+        yield from _suffixes(remaining, bound, i + 1, tight and d == bound[i], prefix)
+        prefix.pop()

@@ -350,11 +350,6 @@ def prediction_context(ideal: Ideal, bound: int = 50) -> PredictionContext:
     return PredictionContext(ideal, iso, unit_roles, both)
 
 
-def predict_profile(fe: FactoredElement, ideal: Ideal, bound: int = 50) -> PredictedProfile:
-    """Convenience wrapper: build the context and predict for one element."""
-    return prediction_context(ideal, bound).predict(fe)
-
-
 def _elem(ring: Ring, n: int) -> Element:
     return Element.integer(n) if ring is Ring.Z else Element.polynomial(Poly.constant(n))
 

@@ -192,7 +192,10 @@ def classify_order4(ideal: Ideal) -> IsoClass:
     """Assign one of the four order-4 ring classes from the fingerprint."""
     if not ideal.is_finite_quotient or ideal.quotient_size != 4:
         raise NotOrderFour(f"quotient by ({ideal}) does not have order 4")
-    fp = quotient_fingerprint(ideal)
+    return _order4_class(quotient_fingerprint(ideal))
+
+
+def _order4_class(fp: QuotientFingerprint) -> IsoClass:
     if fp.characteristic == 4:
         return IsoClass.Z4
     if fp.unit_count == 3:
@@ -207,7 +210,7 @@ def classify_order4(ideal: Ideal) -> IsoClass:
 def classify(ideal: Ideal) -> tuple[QuotientFingerprint, IsoClass]:
     """Fingerprint plus class; quotients of order != 4 classify as Other."""
     fp = quotient_fingerprint(ideal)
-    cls = classify_order4(ideal) if fp.size == 4 else IsoClass.OTHER
+    cls = _order4_class(fp) if fp.size == 4 else IsoClass.OTHER
     return fp, cls
 
 

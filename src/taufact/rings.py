@@ -81,12 +81,6 @@ def one(ring: Ring) -> Element:
     return Element(ring, 1) if ring is Ring.Z else Element(ring, Poly.one())
 
 
-def unit_elements(ring: Ring) -> tuple[Element, ...]:
-    """The full (finite) unit group of the ring: 1 and -1 in both cases."""
-    e = one(ring)
-    return (e, -e)
-
-
 def is_unit(e: Element) -> bool:
     """True exactly for 1 and -1 (constant ±1 polynomials in ZZ[x])."""
     if e.ring is Ring.Z:

@@ -119,12 +119,17 @@ def naive_is_atom(items, ideal):
     return True
 
 
-def naive_atomic_lengths(fe, ideal):
-    items = _instances(fe)
-    lengths = set()
-    for blocks in naive_set_partitions(items):
+def naive_atomic_partitions(fe, ideal):
+    """Canonical partitions of the prime instances that are factorizations
+    into tau-atoms."""
+    found = []
+    for blocks in naive_set_partitions(_instances(fe)):
         if _signable([list(b) for b in blocks], ideal) is None:
             continue
         if all(naive_is_atom(list(b), ideal) for b in blocks):
-            lengths.add(len(blocks))
-    return lengths
+            found.append(blocks)
+    return found
+
+
+def naive_atomic_lengths(fe, ideal):
+    return {len(blocks) for blocks in naive_atomic_partitions(fe, ideal)}

@@ -94,6 +94,21 @@ def test_usage_error_exit_code(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "main", "--max-i", "0"),
+        ("verify", "lemma3", "--samples", "0"),
+        ("verify", "lemma3", "--samples", "-5"),
+        ("sequence", "--max-i", "0"),
+    ],
+)
+def test_empty_runs_are_usage_errors(runner, args):
+    result = runner.invoke(main, list(args))
+    assert result.exit_code == 2
+    assert "pass=" not in result.output
+
+
 def test_factorizations_listing(runner):
     result = run(
         runner, "factorizations", "--ring", "z", "--ideal", "3",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from taufact.rings import Element, FactoredElement, Ring, build_factored, expand
 from naive_oracle import (
     assert_factorization_sound,
     naive_atomic_lengths,
+    naive_atomic_partitions,
     naive_factorizations,
     naive_is_atom,
 )
@@ -262,3 +264,54 @@ def test_engine_matches_naive_six_primes():
     assert ours == naive_factorizations(fe, ideal)
     report = elasticity(fe, ideal)
     assert report.atomic_lengths == frozenset(naive_atomic_lengths(fe, ideal))
+
+
+Z_POOL = [Element.integer(p) for p in (2, 3, 5, 7, 11, 13)]
+ZX_POOL = [
+    Element.polynomial(Poly(coeffs))
+    for coeffs in ((2,), (0, 1), (1, 1), (2, 1), (1, 0, 1), (1, 1, 1), (1, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "ideal,pool",
+    [(Ideal(Ring.Z, m), Z_POOL) for m in (0, 1, 2, 5, 8, 12)]
+    + [
+        (Ideal(Ring.ZX, 3), ZX_POOL),
+        (Ideal(Ring.ZX, 3, Poly((1, 0, 1))), ZX_POOL),
+    ],
+    ids=lambda v: f"{v.ring.value}-{v}" if isinstance(v, Ideal) else "pool",
+)
+def test_engine_matches_naive_on_other_ideals(ideal, pool):
+    # Ideals the order-4 suites never use: Z mod 0 (congruence is equality),
+    # mod 1 (everything congruent), small and composite moduli, and Z[x]
+    # modulo a bare modulus or a modulus with a generator.
+    rng = random.Random(f"naive-{ideal}")
+    for _ in range(28):
+        combo = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        tally = {}
+        for prime in combo:
+            tally[prime] = tally.get(prime, 0) + 1
+        fe = build_factored(ideal.ring, rng.choice((1, -1)), list(tally.items()))
+        facs = enumerate_tau_factorizations(fe, ideal)
+        for tf in facs:
+            assert_factorization_sound(tf, fe, ideal)
+        expected = naive_factorizations(fe, ideal)
+        assert {block_values(tf) for tf in facs} == expected
+        atomic = naive_atomic_partitions(fe, ideal)
+        report = elasticity(fe, ideal)
+        assert report.factorization_count == len(expected)
+        assert report.atomic_count == len(atomic)
+        assert report.atomic_lengths == frozenset(len(blocks) for blocks in atomic)
+        assert is_tau_atom(fe, ideal) == naive_is_atom(combo, ideal)
+
+
+def test_budget_binds_when_nothing_is_yielded():
+    # Over Z mod 0 the blocks of a split must be equal up to sign, so six
+    # distinct primes have no split at all: the search yields nothing, and
+    # only the count of parts examined can stop it.
+    fe = z_factored((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1))
+    ideal = Ideal(Ring.Z, 0)
+    assert is_tau_atom(fe, ideal)
+    with pytest.raises(BudgetExceeded):
+        is_tau_atom(fe, ideal, EnumerationBudget(max_partitions=50))

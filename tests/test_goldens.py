@@ -1,0 +1,71 @@
+"""Byte-exact CLI goldens.
+
+Each case runs one CLI command in process and compares its output with
+``tests/goldens/<name>.txt`` byte for byte.  A ``json`` case keeps only the
+run record's ``result`` (``timing_ms`` varies between runs), written as
+``json.dumps(result, indent=2)`` plus a newline.
+
+The files are regenerated only by hand, and only when a change of output
+is intended.  ``taufact`` below stands for the installed script or for
+``PYTHONPATH=src python3 -m taufact.cli``.  For a text or CSV case::
+
+    taufact <args> > tests/goldens/<name>.txt
+
+and for a JSON case::
+
+    taufact <args> --format json | python3 -c \\
+        'import json,sys; print(json.dumps(json.load(sys.stdin)["result"], indent=2))' \\
+        > tests/goldens/<name>.txt
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from taufact.cli import main
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+FACT_Z3 = ("factorizations", "--ring", "z", "--ideal", "3", "--primes", "2:2, 5:1, 7:1")
+FACT_X2PX = (
+    "factorizations", "--ideal", "2, x^2+x", "--primes", "x:3, x+1:3", "--unit", "-1",
+)
+FACT_Z4 = ("factorizations", "--ring", "z", "--ideal", "4", "--primes", "2:2, 3:2, 5:1")
+ELAST_X2PX = ("elasticity", "--ideal", "2, x^2+x", "--primes", "x:3, x+1:3")
+LEMMA4 = ("verify", "lemma4", "--samples", "40", "--seed", "11")
+
+# name -> (format, CLI arguments without --format)
+CASES = {
+    "factorizations_z3": ("text", FACT_Z3),
+    "factorizations_z3_csv": ("csv", FACT_Z3),
+    "factorizations_z3_json": ("json", FACT_Z3),
+    "factorizations_x2px_unit": ("text", FACT_X2PX),
+    "factorizations_x2px_unit_json": ("json", FACT_X2PX),
+    "factorizations_z4": ("text", FACT_Z4),
+    "factorizations_z4_json": ("json", FACT_Z4),
+    "elasticity_x2px": ("text", ELAST_X2PX),
+    "elasticity_x2px_csv": ("csv", ELAST_X2PX),
+    "elasticity_x2px_json": ("json", ELAST_X2PX),
+    "sequence_7_csv": ("csv", ("sequence", "--max-i", "7")),
+    "verify_main_7": ("text", ("verify", "main", "--max-i", "7")),
+    "verify_lemma4": ("text", LEMMA4),
+    "verify_lemma4_csv": ("csv", LEMMA4),
+}
+
+
+def render(fmt, args):
+    """Output of one case, as it is stored in its golden file."""
+    result = CliRunner().invoke(main, [*args, "--format", fmt], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    if fmt != "json":
+        return result.output
+    return json.dumps(json.loads(result.output)["result"], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    fmt, args = CASES[name]
+    expected = (GOLDENS / f"{name}.txt").read_text()
+    assert render(fmt, args) == expected

@@ -181,11 +181,9 @@ def test_context_predicts_sequence_profile():
     assert profile.elasticity == Fraction(5, 2)
 
 
-def test_predict_profile_convenience():
-    from taufact.predictors import predict_profile
-
+def test_context_predicts_z4_census():
     fe = build_factored(Ring.Z, 1, [(Element.integer(2), 2), (Element.integer(5), 1)])
-    profile = predict_profile(fe, I4)
+    profile = prediction_context(I4).predict(fe)
     assert profile.atomicity is Atomicity.ATOMIC and profile.lengths == {2}
 
 

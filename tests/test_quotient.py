@@ -151,6 +151,21 @@ def test_classify_order4_examples():
     assert classify_order4(IX2PX1) is IsoClass.F4
 
 
+def test_classify_computes_one_fingerprint(monkeypatch):
+    from taufact import quotient
+
+    seen = []
+    real = quotient.quotient_fingerprint
+
+    def counting(ideal):
+        seen.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(quotient, "quotient_fingerprint", counting)
+    assert classify(IX2PX) == (real(IX2PX), IsoClass.Z2X_X2PX)
+    assert seen == [IX2PX]
+
+
 @pytest.mark.parametrize(
     "ideal",
     # every supported (m, g) shape with quotient size 4: degree-1 generators

@@ -17,7 +17,6 @@ from taufact.rings import (
     expand,
     is_prime_int,
     is_unit,
-    unit_elements,
     verify_prime,
 )
 
@@ -36,10 +35,11 @@ def test_is_unit():
 
 
 def test_unit_group_is_exactly_plus_minus_one():
-    for ring in (Z, ZX):
-        units = unit_elements(ring)
-        assert len(units) == 2
-        assert all(is_unit(u) for u in units)
+    constants = [Element.polynomial(Poly.constant(n)) for n in range(-6, 7) if n != 0]
+    assert [u for u in constants if is_unit(u)] == [
+        Element.polynomial(Poly.constant(-1)),
+        Element.polynomial(Poly.constant(1)),
+    ]
     sample = [Element.integer(n) for n in range(-6, 7) if n != 0]
     assert [u for u in sample if is_unit(u)] == [
         Element.integer(-1),
