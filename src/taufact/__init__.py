@@ -70,7 +70,6 @@ from .syntax import (
     parse_ideal,
     parse_poly,
     parse_primes_spec,
-    render_ideal,
     render_primes_spec,
 )
 

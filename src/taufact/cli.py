@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import click
@@ -31,8 +32,9 @@ from .engine import (
 from .errors import TaufactError, UnsupportedDegree
 from .quotient import cayley_table, classify, reduce
 from .rings import Ring, build_factored, expand, load_registry
-from .syntax import parse_element, parse_ideal, parse_primes_spec, render_ideal, render_primes_spec
+from .syntax import parse_element, parse_ideal, parse_primes_spec, render_primes_spec
 from .verify import (
+    HALF_FACTORIAL_MODULI,
     SUITE_IDEALS,
     run_main_sequence,
     run_predictor_suite,
@@ -63,10 +65,31 @@ def _budget(max_primes: int) -> EnumerationBudget:
     return EnumerationBudget(max_primes=max_primes)
 
 
-def _frac(f: Fraction | None) -> str | None:
-    if f is None:
-        return None
-    return f"{f.numerator}/{f.denominator}"
+def _plain(value):
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
+
+
+def _record(result) -> dict:
+    """A result dataclass as the JSON object it prints as: its fields in
+    order, a Fraction as "p/q", a frozenset as a sorted list."""
+    return {f.name: _plain(getattr(result, f.name)) for f in fields(result)}
+
+
+def _cell(value) -> str:
+    """One CSV cell: a list joins its items with "|", and so does a ", "
+    inside text, so no cell holds a comma."""
+    if isinstance(value, (list, tuple)):
+        return "|".join(map(str, value))
+    return str(value).replace(", ", "|")
+
+
+def _csv(records, columns) -> list[str]:
+    """Header plus one line per record, cells in column order."""
+    return [",".join(columns)] + [",".join(_cell(r[c]) for c in columns) for r in records]
 
 
 def _emit(command: str, inputs: dict, result: dict, fmt: str, text_lines, csv_lines, started: float):
@@ -112,7 +135,7 @@ def cmd_reduce(ring, ideal_text, elem_text, fmt):
         residue = reduce(elem, ideal)
     except TaufactError as exc:
         _fail(exc)
-    inputs = {"ring": rng.value, "ideal": render_ideal(ideal), "elem": str(elem)}
+    inputs = {"ring": rng.value, "ideal": str(ideal), "elem": str(elem)}
     result = {"residue": str(residue)}
     _emit("reduce", inputs, result, fmt, [str(residue)], ["residue", str(residue)], started)
 
@@ -128,41 +151,20 @@ def cmd_classify(ring, ideal_text, fmt):
     try:
         rng = _ring(ring, ideal_text)
         ideal = parse_ideal(ideal_text, rng)
-        fingerprint, iso_class = classify(ideal)
         table = cayley_table(ideal)
+        fingerprint, iso_class = classify(table)
     except TaufactError as exc:
         _fail(exc)
     reps = [str(r) for r in table.residues]
-    rows = [[str(table.entry(i, j)) for j in range(len(reps))] for i in range(len(reps))]
-    inputs = {"ring": rng.value, "ideal": render_ideal(ideal)}
-    result = {
-        "iso_class": iso_class.value,
-        "fingerprint": {
-            "size": fingerprint.size,
-            "characteristic": fingerprint.characteristic,
-            "nilpotent_count": fingerprint.nilpotent_count,
-            "idempotent_count": fingerprint.idempotent_count,
-            "unit_count": fingerprint.unit_count,
-        },
-        "residues": reps,
-        "cayley": rows,
-    }
-    width = max(len(s) for s in reps + ["*"]) + 2
-    text = [
-        f"iso_class: {iso_class.value}",
-        f"size: {fingerprint.size}",
-        f"characteristic: {fingerprint.characteristic}",
-        f"nilpotent_count: {fingerprint.nilpotent_count}",
-        f"idempotent_count: {fingerprint.idempotent_count}",
-        f"unit_count: {fingerprint.unit_count}",
-        "cayley:",
-        "".join(s.rjust(width) for s in ["*"] + reps),
-    ]
-    for rep, row in zip(reps, rows):
-        text.append("".join(s.rjust(width) for s in [rep] + row))
-    csv_lines = [",".join(["*"] + reps)]
-    csv_lines += [",".join([rep] + row) for rep, row in zip(reps, rows)]
-    _emit("classify", inputs, result, fmt, text, csv_lines, started)
+    rows = [[reps[k] for k in row] for row in table.product]
+    inputs = {"ring": rng.value, "ideal": str(ideal)}
+    counts = _record(fingerprint)
+    result = {"iso_class": iso_class.value, "fingerprint": counts, "residues": reps, "cayley": rows}
+    grid = [["*", *reps]] + [[rep, *row] for rep, row in zip(reps, rows)]
+    width = max(len(s) for s in grid[0]) + 2
+    text = [f"iso_class: {iso_class.value}", *(f"{key}: {value}" for key, value in counts.items())]
+    text += ["cayley:", *("".join(s.rjust(width) for s in line) for line in grid)]
+    _emit("classify", inputs, result, fmt, text, [",".join(line) for line in grid], started)
 
 
 def _parse_factored(ring, ideal_text, primes_text, unit):
@@ -213,7 +215,7 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget, fmt):
         _fail(exc)
     inputs = {
         "ring": rng.value,
-        "ideal": render_ideal(ideal),
+        "ideal": str(ideal),
         "primes": render_primes_spec(fe.factors),
         "unit": fe.unit,
     }
@@ -251,26 +253,16 @@ def cmd_elasticity(ring, ideal_text, primes_text, unit, budget, fmt):
         _fail(exc)
     inputs = {
         "ring": rng.value,
-        "ideal": render_ideal(ideal),
+        "ideal": str(ideal),
         "primes": render_primes_spec(fe.factors),
         "unit": fe.unit,
     }
-    result = {
-        "is_atomic": report.is_atomic,
-        "atomic_lengths": sorted(report.atomic_lengths),
-        "min_len": report.min_len,
-        "max_len": report.max_len,
-        "elasticity": _frac(report.elasticity),
-        "factorization_count": report.factorization_count,
-        "atomic_count": report.atomic_count,
-    }
+    result = _record(report)
     text = [f"{key}: {value}" for key, value in result.items()]
-    header = ",".join(result)
-    row = ",".join(
-        "|".join(str(v) for v in value) if isinstance(value, list) else str(value)
-        for value in result.values()
-    )
-    _emit("elasticity", inputs, result, fmt, text, [header, row], started)
+    _emit("elasticity", inputs, result, fmt, text, _csv([result], list(result)), started)
+
+
+SEQUENCE_COLUMNS = ("i", "min_len", "max_len", "elasticity")
 
 
 @main.command("sequence")
@@ -284,22 +276,33 @@ def cmd_sequence(max_i, budget, fmt):
         rows = run_main_sequence(max_i, _budget(budget))
     except TaufactError as exc:
         _fail(exc)
-    inputs = {"max_i": max_i, "ideal": render_ideal(SUITE_IDEALS["lemma4"])}
-    result = {
-        "rows": [
-            {
-                "i": r.i,
-                "min_len": r.min_len,
-                "max_len": r.max_len,
-                "elasticity": _frac(r.elasticity),
-            }
-            for r in rows
-        ]
-    }
-    csv_lines = ["i,min_len,max_len,elasticity"]
-    csv_lines += [f"{r.i},{r.min_len},{r.max_len},{_frac(r.elasticity)}" for r in rows]
-    text = csv_lines
-    _emit("sequence", inputs, result, fmt, text, csv_lines, started)
+    inputs = {"max_i": max_i, "ideal": str(SUITE_IDEALS["lemma4"])}
+    records = [_record(r) for r in rows]
+    result = {"rows": [{c: record[c] for c in SEQUENCE_COLUMNS} for record in records]}
+    lines = _csv(records, SEQUENCE_COLUMNS)
+    _emit("sequence", inputs, result, fmt, lines, lines, started)
+
+
+def _describe_sequence_row(r: dict) -> str:
+    return f"i={r['i']} min={r['min_len']} max={r['max_len']} elasticity={r['elasticity']}"
+
+
+def _describe_survey_row(r: dict) -> str:
+    if r["attained_two"]:
+        attained = f" elasticity 2 attained e.g. {r['attained_two'][0]}"
+    elif r["modulus"] not in HALF_FACTORIAL_MODULI:
+        attained = " elasticity 2 not attained on this corpus"
+    else:
+        attained = ""
+    return (
+        f"n={r['modulus']} max_elasticity={r['max_elasticity']} ({r['elements']} elements, "
+        f"{r['censuses']} censuses, {r['crosschecked']} cross-checked){attained}"
+    )
+
+
+def _describe_case(c: dict) -> str:
+    detail = f" {c['detail']}" if c["detail"] else ""
+    return f"census={c['census']} predicted[{c['predicted']}] oracle[{c['oracle']}]{detail}"
 
 
 @main.command("verify")
@@ -322,129 +325,36 @@ def cmd_verify(suite, samples, seed, max_i, bound, budget, fmt):
     try:
         if suite == "main":
             rows = run_main_sequence(max_i, budget_obj)
-            ok = all(r.ok for r in rows)
             inputs = {"suite": suite, "max_i": max_i}
-            result = {
-                "rows": [
-                    {
-                        "i": r.i,
-                        "min_len": r.min_len,
-                        "max_len": r.max_len,
-                        "elasticity": _frac(r.elasticity),
-                        "ok": r.ok,
-                    }
-                    for r in rows
-                ],
-                "pass": ok,
-            }
-            text = [
-                f"{'ok' if r.ok else 'FAIL'} i={r.i} min={r.min_len} "
-                f"max={r.max_len} elasticity={_frac(r.elasticity)}"
-                for r in rows
-            ]
-            text.append(f"suite=main rows={len(rows)} pass={ok}")
-            csv_lines = ["i,min_len,max_len,elasticity,ok"]
-            csv_lines += [
-                f"{r.i},{r.min_len},{r.max_len},{_frac(r.elasticity)},{r.ok}"
-                for r in rows
-            ]
+            key, counts, tally = "rows", {}, {"rows": len(rows)}
+            columns, describe = (*SEQUENCE_COLUMNS, "ok"), _describe_sequence_row
         elif suite == "hfd-z-small":
-            survey = run_small_integer_survey(seed=seed, budget=budget_obj)
-            ok = True
-            rows = []
-            for modulus, res in survey.items():
-                expected_max = Fraction(1) if modulus in (1, 2, 3) else Fraction(2)
-                mod_ok = (
-                    res.crosscheck_failures == 0
-                    and res.max_elasticity is not None
-                    and res.max_elasticity <= expected_max
-                )
-                if modulus in (1, 2, 3):
-                    mod_ok = mod_ok and res.max_elasticity == 1
-                ok = ok and mod_ok
-                rows.append((modulus, res, mod_ok))
+            rows = list(run_small_integer_survey(seed=seed, budget=budget_obj).values())
             inputs = {"suite": suite}
-            result = {
-                "moduli": [
-                    {
-                        "modulus": modulus,
-                        "elements": res.elements,
-                        "censuses": res.censuses,
-                        "atomic_elements": res.atomic_elements,
-                        "non_atomic_elements": res.non_atomic_elements,
-                        "max_elasticity": _frac(res.max_elasticity),
-                        "max_witness": res.max_witness,
-                        "attained_two": res.attained_two,
-                        "crosschecked": res.crosschecked,
-                        "crosscheck_failures": res.crosscheck_failures,
-                        "ok": mod_ok,
-                    }
-                    for modulus, res, mod_ok in rows
-                ],
-                "pass": ok,
-            }
-            text = []
-            for modulus, res, mod_ok in rows:
-                attained = (
-                    f" elasticity 2 attained e.g. {res.attained_two[0]}"
-                    if res.attained_two
-                    else " elasticity 2 not attained on this corpus"
-                    if modulus in (12, 18)
-                    else ""
-                )
-                text.append(
-                    f"{'ok' if mod_ok else 'FAIL'} n={modulus} "
-                    f"max_elasticity={_frac(res.max_elasticity)} "
-                    f"({res.elements} elements, {res.censuses} censuses, "
-                    f"{res.crosschecked} cross-checked){attained}"
-                )
-            text.append(f"suite=hfd-z-small pass={ok}")
-            csv_lines = ["modulus,max_elasticity,elements,censuses,ok"]
-            csv_lines += [
-                f"{modulus},{_frac(res.max_elasticity)},{res.elements},{res.censuses},{mod_ok}"
-                for modulus, res, mod_ok in rows
-            ]
+            key, counts, tally = "moduli", {}, {}
+            columns = ("modulus", "max_elasticity", "elements", "censuses", "ok")
+            describe = _describe_survey_row
         else:
             report = run_predictor_suite(
                 suite, samples=samples, seed=seed, budget=budget_obj, bound=bound
             )
-            ok = report.ok
+            rows = report.cases
             inputs = {"suite": suite, "samples": samples, "seed": seed, "bound": bound}
-            result = {
-                "checked": report.checked,
-                "failures": report.failures,
-                "no_closed_form": report.no_closed_form,
-                "pass": ok,
-                "cases": [
-                    {
-                        "element": c.element,
-                        "census": list(c.census),
-                        "predicted": c.predicted,
-                        "oracle": c.oracle,
-                        "ok": c.ok,
-                        "detail": c.detail,
-                    }
-                    for c in report.cases
-                ],
-            }
-            text = [
-                f"{'ok' if c.ok else 'FAIL'} census={c.census} predicted[{c.predicted}] "
-                f"oracle[{c.oracle}]{' ' + c.detail if c.detail else ''}"
-                for c in report.cases
-            ]
-            text.append(
-                f"suite={suite} cases={report.checked} failures={report.failures} "
-                f"no_closed_form={report.no_closed_form} pass={ok}"
-            )
-            csv_lines = ["census,ok,predicted,oracle"]
-            csv_lines += [
-                f"{'|'.join(map(str, c.census))},{c.ok},"
-                f"{c.predicted.replace(', ', '|')},{c.oracle.replace(', ', '|')}"
-                for c in report.cases
-            ]
+            failures = {"failures": report.failures, "no_closed_form": report.no_closed_form}
+            key, counts = "cases", {"checked": report.checked, **failures}
+            tally = {"cases": report.checked, **failures}
+            columns, describe = ("census", "ok", "predicted", "oracle"), _describe_case
     except TaufactError as exc:
         _fail(exc)
-    _emit("verify", inputs, result, fmt, text, csv_lines, started)
+    ok = all(r.ok for r in rows)
+    records = [_record(r) for r in rows]
+    # main and hfd-z-small list their rows before "pass"; a predictor suite
+    # prints its counts before "pass" and lists its cases after it.
+    before, after = (counts, {key: records}) if counts else ({key: records}, {})
+    result = {**before, "pass": ok, **after}
+    text = [f"{'ok' if r['ok'] else 'FAIL'} {describe(r)}" for r in records]
+    text.append(" ".join([f"suite={suite}", *(f"{k}={v}" for k, v in tally.items()), f"pass={ok}"]))
+    _emit("verify", inputs, result, fmt, text, _csv(records, columns), started)
     if not ok:
         sys.exit(1)
 

@@ -16,6 +16,10 @@ signs a block +1 when its residue equals the first block's residue and -1
 otherwise; the enumerator sorts blocks first, so the witness is
 reproducible.
 
+Only residues steer the search, so each prime is reduced once and a
+block's residue is built from a smaller block's residue times one prime's
+residue; no block product is expanded until a yielded partition is sorted.
+
 An element is a tau-atom when no split into two or more blocks is yielded.
 Atomhood depends only on the block and the ideal; it is memoized per call
 on the block's part-vector, because the same sub-blocks recur across
@@ -31,8 +35,8 @@ from typing import Optional
 
 from .errors import BudgetExceeded, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
-from .quotient import Ideal, Residue, reduce
-from .rings import Element, FactoredElement, expand, one
+from .quotient import Ideal, Residue, reduce, residue_mul
+from .rings import Element, FactoredElement, expand
 
 
 @dataclass(frozen=True)
@@ -82,12 +86,12 @@ class ElasticityReport:
 
 
 class _Context:
-    """Per-call state: the prime multiset as a vector plus product, residue,
-    sign-class and atomhood caches keyed on part-vectors."""
+    """Per-call state: the prime multiset as a vector, each prime's residue,
+    plus residue, sign-class and atomhood caches keyed on part-vectors."""
 
     __slots__ = (
-        "fe", "ideal", "budget", "primes", "vector",
-        "_products", "_residues", "_classes", "_atoms",
+        "fe", "ideal", "budget", "primes", "vector", "_prime_residues",
+        "_residues", "_classes", "_atoms",
     )
 
     def __init__(self, fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget):
@@ -105,7 +109,7 @@ class _Context:
         self.budget = budget
         self.primes = tuple(p for p, _ in fe.factors)
         self.vector = tuple(exp for _, exp in fe.factors)
-        self._products: dict = {}
+        self._prime_residues = tuple(reduce(p, ideal) for p in self.primes)
         self._residues: dict = {}
         self._classes: dict = {}
         self._atoms: dict = {}
@@ -115,28 +119,26 @@ class _Context:
             part, self.sign_class, min_blocks, self.budget.max_partitions
         )
 
-    def product(self, part: tuple[int, ...]) -> Element:
-        cached = self._products.get(part)
-        if cached is None:
-            acc = one(self.fe.ring)
-            for prime, mult in zip(self.primes, part):
-                for _ in range(mult):
-                    acc = acc * prime
-            cached = self._products[part] = acc
-        return cached
-
     def residue(self, part: tuple[int, ...]) -> Residue:
+        """The block's residue: the residue of the block without one copy of
+        its first prime, times that prime's residue."""
         cached = self._residues.get(part)
         if cached is None:
-            cached = self._residues[part] = reduce(self.product(part), self.ideal)
+            lead = next(i for i, mult in enumerate(part) if mult)
+            cached = self._prime_residues[lead]
+            if sum(part) > 1:
+                rest = part[:lead] + (part[lead] - 1,) + part[lead + 1:]
+                cached = residue_mul(self.residue(rest), cached)
+            self._residues[part] = cached
         return cached
 
     def sign_class(self, part: tuple[int, ...]) -> frozenset[Residue]:
         """The block's residues up to sign: {r, -r}."""
         cached = self._classes.get(part)
         if cached is None:
-            minus = reduce(-self.product(part), self.ideal)
-            cached = self._classes[part] = frozenset((self.residue(part), minus))
+            residue = self.residue(part)
+            minus = reduce(-Element(self.ideal.ring, residue.rep), self.ideal)
+            cached = self._classes[part] = frozenset((residue, minus))
         return cached
 
     def is_atom(self, part: tuple[int, ...]) -> bool:
@@ -162,17 +164,21 @@ def enumerate_tau_factorizations(
     associates, in canonical (length, blocks) order.  Includes the trivial
     length-1 factorization."""
     ctx = _Context(fe, ideal, budget)
+    sort_keys: dict = {}  # blocks recur across partitions
     found = []
     for partition in ctx.partitions(ctx.vector):
+        for p in partition:
+            if p not in sort_keys:
+                sort_keys[p] = expand(ctx.block(p)).sort_key
         # Sorting fixes which block leads, hence the witness.
-        parts = sorted(partition, key=lambda p: ctx.product(p).sort_key)
+        parts = sorted(partition, key=sort_keys.__getitem__)
         lead = ctx.residue(parts[0])
         signs = tuple(1 if ctx.residue(p) == lead else -1 for p in parts)
         lam = fe.unit
         for s in signs:
             lam *= s
         blocks = tuple(ctx.block(p) for p in parts)
-        key = (len(parts), tuple(ctx.product(p).sort_key for p in parts))
+        key = (len(parts), tuple(sort_keys[p] for p in parts))
         found.append((key, TauFactorization(lam, blocks, signs)))
     found.sort(key=lambda item: item[0])
     return [tf for _, tf in found]

@@ -65,3 +65,7 @@ class InternalCheckFailed(TaufactError):
 
 class BudgetExceeded(TaufactError):
     code = "budget_exceeded"
+
+
+class NoWitnessPrime(TaufactError):
+    code = "no_witness_prime"

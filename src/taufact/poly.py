@@ -45,12 +45,6 @@ class Poly:
     def constant(cls, c: int) -> Poly:
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, coefficient: int, power: int) -> Poly:
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coefficient,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -38,7 +38,7 @@ from .quotient import (
     residue_mul,
     unit_classes,
 )
-from .rings import Element, FactoredElement, Ring, build_factored, expand
+from .rings import Element, FactoredElement, Ring, build_factored, constant, expand
 
 _X = Poly.x()
 _XP1 = Poly((1, 1))
@@ -91,12 +91,12 @@ class IsoMap:
 def build_iso_map(ideal: Ideal) -> IsoMap:
     cls = classify_order4(ideal)
     residues = enumerate_residues(ideal)
-    zero_r = reduce(_elem(ideal.ring, 0), ideal)
-    one_r = reduce(_elem(ideal.ring, 1), ideal)
+    zero_r = reduce(constant(ideal.ring, 0), ideal)
+    one_r = reduce(constant(ideal.ring, 1), ideal)
 
     if cls is IsoClass.Z4:
         nil = _unique(residues, lambda r: r != zero_r and residue_mul(r, r) == zero_r)
-        minus_one = reduce(-_elem(ideal.ring, 1), ideal)
+        minus_one = reduce(constant(ideal.ring, -1), ideal)
         role_of = {zero_r: "0", one_r: "1", nil: "2", minus_one: "3"}
     elif cls is IsoClass.Z2X_X2P1:
         nil = _unique(residues, lambda r: r != zero_r and residue_mul(r, r) == zero_r)
@@ -348,10 +348,6 @@ def prediction_context(ideal: Ideal, bound: int = 50) -> PredictionContext:
         else False
     )
     return PredictionContext(ideal, iso, unit_roles, both)
-
-
-def _elem(ring: Ring, n: int) -> Element:
-    return Element.integer(n) if ring is Ring.Z else Element.polynomial(Poly.constant(n))
 
 
 def _unique(residues, pred) -> Residue:

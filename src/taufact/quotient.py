@@ -27,7 +27,7 @@ from .errors import (
     RingMismatch,
 )
 from .poly import Poly, divmod_monic
-from .rings import Element, Ring, is_prime_int, verify_prime
+from .rings import Element, Ring, constant, is_prime_int, verify_prime
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,7 @@ def residue_mul(a: Residue, b: Residue) -> Residue:
 def residue_add(a: Residue, b: Residue) -> Residue:
     if a.ideal != b.ideal:
         raise RingMismatch("residues belong to different ideals")
-    if a.ideal.ring is Ring.Z:
-        return reduce(Element.integer(a.rep + b.rep), a.ideal)
-    return reduce(Element.polynomial(a.rep + b.rep), a.ideal)
+    return reduce(Element(a.ideal.ring, a.rep + b.rep), a.ideal)
 
 
 def enumerate_residues(ideal: Ideal) -> tuple[Residue, ...]:
@@ -161,10 +159,11 @@ class QuotientFingerprint:
     unit_count: int
 
 
-def quotient_fingerprint(ideal: Ideal) -> QuotientFingerprint:
-    residues = enumerate_residues(ideal)
-    one_res = reduce(_one(ideal.ring), ideal)
-    zero_res = reduce(_zero(ideal.ring), ideal)
+def quotient_fingerprint(table: CayleyTable) -> QuotientFingerprint:
+    """Fingerprint counts of the quotient, read off its product table."""
+    ideal, residues = table.ideal, table.residues
+    one_res = reduce(constant(ideal.ring, 1), ideal)
+    zero_res = reduce(constant(ideal.ring, 0), ideal)
 
     characteristic = 1
     acc = one_res
@@ -174,9 +173,11 @@ def quotient_fingerprint(ideal: Ideal) -> QuotientFingerprint:
         if characteristic > len(residues):
             raise InternalCheckFailed("additive order of 1 exceeds quotient size")
 
-    nilpotent = sum(1 for r in residues if residue_mul(r, r) == zero_res)
-    idempotent = sum(1 for r in residues if residue_mul(r, r) == r)
-    units = sum(1 for r in residues if any(residue_mul(r, s) == one_res for s in residues))
+    zero, one = residues.index(zero_res), residues.index(one_res)
+    squares = [row[i] for i, row in enumerate(table.product)]
+    nilpotent = squares.count(zero)
+    idempotent = sum(1 for i, sq in enumerate(squares) if sq == i)
+    units = sum(1 for row in table.product if one in row)
     return QuotientFingerprint(len(residues), characteristic, nilpotent, idempotent, units)
 
 
@@ -192,7 +193,7 @@ def classify_order4(ideal: Ideal) -> IsoClass:
     """Assign one of the four order-4 ring classes from the fingerprint."""
     if not ideal.is_finite_quotient or ideal.quotient_size != 4:
         raise NotOrderFour(f"quotient by ({ideal}) does not have order 4")
-    return _order4_class(quotient_fingerprint(ideal))
+    return _order4_class(quotient_fingerprint(cayley_table(ideal)))
 
 
 def _order4_class(fp: QuotientFingerprint) -> IsoClass:
@@ -207,9 +208,10 @@ def _order4_class(fp: QuotientFingerprint) -> IsoClass:
     return IsoClass.OTHER
 
 
-def classify(ideal: Ideal) -> tuple[QuotientFingerprint, IsoClass]:
-    """Fingerprint plus class; quotients of order != 4 classify as Other."""
-    fp = quotient_fingerprint(ideal)
+def classify(table: CayleyTable) -> tuple[QuotientFingerprint, IsoClass]:
+    """Fingerprint plus class of the quotient with this product table;
+    quotients of order != 4 classify as Other."""
+    fp = quotient_fingerprint(table)
     cls = _order4_class(fp) if fp.size == 4 else IsoClass.OTHER
     return fp, cls
 
@@ -218,8 +220,8 @@ def unit_classes(ideal: Ideal) -> frozenset[Residue]:
     """Residues that contain a unit of the ring, i.e. classes of 1 and -1."""
     if not ideal.is_finite_quotient:
         raise InfiniteQuotient(f"quotient by ({ideal}) is not finite")
-    plus = reduce(_one(ideal.ring), ideal)
-    minus = reduce(-_one(ideal.ring), ideal)
+    plus = reduce(constant(ideal.ring, 1), ideal)
+    minus = reduce(constant(ideal.ring, -1), ideal)
     return frozenset((plus, minus))
 
 
@@ -264,11 +266,3 @@ def find_prime_in_class(ideal: Ideal, target: Residue, bound: int = 50) -> Optio
     for prime in find_primes_in_class(ideal, target, bound):
         return prime
     return None
-
-
-def _one(ring: Ring) -> Element:
-    return Element.integer(1) if ring is Ring.Z else Element.polynomial(Poly.one())
-
-
-def _zero(ring: Ring) -> Element:
-    return Element.integer(0) if ring is Ring.Z else Element.polynomial(Poly.zero())

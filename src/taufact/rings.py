@@ -77,8 +77,9 @@ class Element:
         return str(self.value)
 
 
-def one(ring: Ring) -> Element:
-    return Element(ring, 1) if ring is Ring.Z else Element(ring, Poly.one())
+def constant(ring: Ring, n: int) -> Element:
+    """The integer n as an element of the ring."""
+    return Element(ring, n) if ring is Ring.Z else Element(ring, Poly.constant(n))
 
 
 def is_unit(e: Element) -> bool:
@@ -203,7 +204,7 @@ def build_factored(ring: Ring, unit: int, parts, registry: frozenset = frozenset
 
 def expand(fe: FactoredElement) -> Element:
     """Exact product unit * prod(prime**exponent)."""
-    acc = one(fe.ring)
+    acc = constant(fe.ring, 1)
     for prime, exp in fe.factors:
         for _ in range(exp):
             acc = acc * prime

@@ -96,11 +96,5 @@ def parse_primes_spec(text: str, ring: Ring) -> list[tuple[Element, int]]:
     return parts
 
 
-def render_ideal(ideal) -> str:
-    if ideal.generator is None:
-        return str(ideal.modulus)
-    return f"{ideal.modulus}, {ideal.generator}"
-
-
 def render_primes_spec(parts) -> str:
     return ", ".join(f"{elem}:{exp}" for elem, exp in parts)

@@ -11,7 +11,7 @@ exact arithmetic and reduction primitives with the engine.
 from itertools import combinations, product as iter_product
 
 from taufact.quotient import congruent
-from taufact.rings import expand, one
+from taufact.rings import constant, expand
 
 
 def assert_factorization_sound(tf, fe, ideal):
@@ -20,7 +20,7 @@ def assert_factorization_sound(tf, fe, ideal):
     block products."""
     assert tf.lam in (1, -1)
     assert len(tf.blocks) == len(tf.signs)
-    total = one(fe.ring)
+    total = constant(fe.ring, 1)
     signed = []
     for block, sign in zip(tf.blocks, tf.signs):
         assert block.factors, "blocks must be nonunits"
@@ -44,7 +44,7 @@ def _instances(fe):
 
 
 def _product(block):
-    acc = one(block[0].ring)
+    acc = constant(block[0].ring, 1)
     for p in block:
         acc = acc * p
     return acc

@@ -1,9 +1,16 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from taufact import quotient, verify
 from taufact.cli import main
+from taufact.engine import ElasticityReport
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 @pytest.fixture
@@ -197,6 +204,94 @@ def test_verify_hfd_z_small(runner):
     assert lines[-1] == "suite=hfd-z-small pass=True"
     for n in (1, 2, 3):
         assert any(f"n={n} max_elasticity=1/1" in line for line in lines)
+    assert result.output == (GOLDENS / "verify_hfd_z_small.txt").read_text()
+
+
+def _assert_suite_fails(runner, args):
+    """Run a suite as text and as JSON; both must report the failure and
+    exit 1.  Returns the text lines."""
+    text = run(runner, *args)
+    assert text.exit_code == 1
+    lines = text.output.splitlines()
+    assert any(line.startswith("FAIL ") for line in lines)
+    assert lines[-1].endswith(" pass=False")
+    record = run(runner, *args, "--format", "json")
+    assert record.exit_code == 1
+    assert json.loads(record.output)["result"]["pass"] is False
+    assert '"pass": false' in record.output
+    return lines
+
+
+def test_verify_main_reports_a_failing_row(runner, monkeypatch):
+    real = verify.elasticity
+
+    def one_too_long(fe, ideal, budget):
+        report = real(fe, ideal, budget)
+        if fe.total_multiplicity == 6:  # i = 3
+            return replace(report, max_len=report.max_len + 1)
+        return report
+
+    monkeypatch.setattr(verify, "elasticity", one_too_long)
+    lines = _assert_suite_fails(runner, ("verify", "main", "--max-i", "4"))
+    assert [line.split()[0] for line in lines[:-1]] == ["ok", "ok", "FAIL", "ok"]
+    assert lines[2] == "FAIL i=3 min=2 max=4 elasticity=3/2"
+
+
+def test_verify_hfd_z_small_reports_a_failing_modulus(runner, monkeypatch):
+    def fake_oracle(fe, ideal, budget):
+        # Elasticity 3/2 modulo 3 breaks that modulus's rule; 1 elsewhere.
+        lengths = frozenset({2, 3} if ideal.modulus == 3 else {1})
+        lo, hi = min(lengths), max(lengths)
+        return ElasticityReport(True, lengths, lo, hi, Fraction(hi, lo), 1, 1)
+
+    monkeypatch.setattr(verify, "elasticity", fake_oracle)
+    lines = _assert_suite_fails(runner, ("verify", "hfd-z-small"))
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["ok", "n=1"], ["ok", "n=2"], ["FAIL", "n=3"], ["ok", "n=12"], ["ok", "n=18"],
+    ]
+
+
+def test_verify_lemma_suite_reports_a_failing_case(runner, monkeypatch):
+    real = verify.elasticity
+    first = []
+
+    def wrong_on_first_element(fe, ideal, budget):
+        report = real(fe, ideal, budget)
+        first.append(fe)
+        if fe == first[0]:
+            return replace(report, is_atomic=not report.is_atomic)
+        return report
+
+    monkeypatch.setattr(verify, "elasticity", wrong_on_first_element)
+    lines = _assert_suite_fails(
+        runner, ("verify", "lemma1", "--samples", "4", "--seed", "5")
+    )
+    assert lines[0].startswith("FAIL ") and lines[0].endswith(" atomicity mismatch")
+    assert all(line.startswith("ok ") for line in lines[1:-1])
+    assert lines[-1].startswith("suite=lemma1 cases=4 failures=1 ")
+
+
+@pytest.mark.parametrize("suite,bound", [("lemma1", "-3"), ("lemma2", "0")])
+def test_verify_without_witness_prime_is_an_error_object(runner, suite, bound):
+    result = runner.invoke(main, ["verify", suite, "--samples", "3", "--bound", bound])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["error"] == "no_witness_prime"
+    assert f"bound {bound}" in payload["detail"]
+
+
+def test_classify_builds_one_product_table(runner, monkeypatch):
+    real = quotient.residue_mul
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(quotient, "residue_mul", counting)
+    result = run(runner, "classify", "--ideal", "3, x^2+1")
+    assert result.exit_code == 0
+    assert len(calls) == 81  # one product per cell of the 9 x 9 table
 
 
 def test_round_trip_of_printed_forms(runner):

@@ -35,6 +35,14 @@ FACT_X2PX = (
 FACT_Z4 = ("factorizations", "--ring", "z", "--ideal", "4", "--primes", "2:2, 3:2, 5:1")
 ELAST_X2PX = ("elasticity", "--ideal", "2, x^2+x", "--primes", "x:3, x+1:3")
 LEMMA4 = ("verify", "lemma4", "--samples", "40", "--seed", "11")
+SEQUENCE = ("sequence", "--max-i", "7")
+MAIN = ("verify", "main", "--max-i", "7")
+HFD = ("verify", "hfd-z-small")
+CLASSIFY = {
+    "x2px": ("classify", "--ideal", "2, x^2+x"),
+    "3_x2p1": ("classify", "--ideal", "3, x^2+1"),
+    "z6": ("classify", "--ring", "z", "--ideal", "6"),
+}
 
 # name -> (format, CLI arguments without --format)
 CASES = {
@@ -48,10 +56,23 @@ CASES = {
     "elasticity_x2px": ("text", ELAST_X2PX),
     "elasticity_x2px_csv": ("csv", ELAST_X2PX),
     "elasticity_x2px_json": ("json", ELAST_X2PX),
-    "sequence_7_csv": ("csv", ("sequence", "--max-i", "7")),
-    "verify_main_7": ("text", ("verify", "main", "--max-i", "7")),
+    "sequence_7": ("text", SEQUENCE),
+    "sequence_7_csv": ("csv", SEQUENCE),
+    "sequence_7_json": ("json", SEQUENCE),
+    "verify_main_7": ("text", MAIN),
+    "verify_main_7_csv": ("csv", MAIN),
+    "verify_main_7_json": ("json", MAIN),
     "verify_lemma4": ("text", LEMMA4),
     "verify_lemma4_csv": ("csv", LEMMA4),
+    "verify_lemma4_json": ("json", LEMMA4),
+    # The text run of hfd-z-small is compared in test_cli.test_verify_hfd_z_small.
+    "verify_hfd_z_small_csv": ("csv", HFD),
+    "verify_hfd_z_small_json": ("json", HFD),
+    **{
+        f"classify_{name}{suffix}": (fmt, args)
+        for name, args in CLASSIFY.items()
+        for fmt, suffix in (("text", ""), ("csv", "_csv"), ("json", "_json"))
+    },
 }
 
 

@@ -157,13 +157,14 @@ def test_classify_computes_one_fingerprint(monkeypatch):
     seen = []
     real = quotient.quotient_fingerprint
 
-    def counting(ideal):
-        seen.append(ideal)
-        return real(ideal)
+    def counting(table):
+        seen.append(table)
+        return real(table)
 
     monkeypatch.setattr(quotient, "quotient_fingerprint", counting)
-    assert classify(IX2PX) == (real(IX2PX), IsoClass.Z2X_X2PX)
-    assert seen == [IX2PX]
+    table = cayley_table(IX2PX)
+    assert classify(table) == (real(table), IsoClass.Z2X_X2PX)
+    assert seen == [table]
 
 
 @pytest.mark.parametrize(
@@ -186,15 +187,15 @@ def test_every_order4_quotient_gets_a_named_class(ideal):
 def test_classify_rejects_other_sizes():
     with pytest.raises(NotOrderFour):
         classify_order4(I3)
-    fp, cls = classify(Ideal(Ring.Z, 6))
+    fp, cls = classify(cayley_table(Ideal(Ring.Z, 6)))
     assert fp.size == 6 and cls is IsoClass.OTHER
 
 
 def test_fingerprint_counts():
-    fp = quotient_fingerprint(IX2PX)
+    fp = quotient_fingerprint(cayley_table(IX2PX))
     assert (fp.size, fp.characteristic) == (4, 2)
     assert (fp.nilpotent_count, fp.idempotent_count, fp.unit_count) == (1, 4, 1)
-    fp = quotient_fingerprint(I4)
+    fp = quotient_fingerprint(cayley_table(I4))
     assert (fp.characteristic, fp.unit_count) == (4, 2)
 
 
