@@ -168,6 +168,8 @@ def cmd_classify(ring, ideal_text, fmt):
 
 
 def _parse_factored(ring, ideal_text, primes_text, unit):
+    """The ideal and factored element of a listing command, plus the
+    canonical inputs its JSON record echoes."""
     rng = _ring(ring, ideal_text)
     ideal = parse_ideal(ideal_text, rng)
     parts = parse_primes_spec(primes_text, rng)
@@ -176,7 +178,16 @@ def _parse_factored(ring, ideal_text, primes_text, unit):
     except UnsupportedDegree:
         # The registry is read only when the built-in test cannot decide a prime.
         fe = build_factored(rng, unit, parts, _registry())
-    return rng, ideal, fe
+    inputs = {
+        "ring": rng.value,
+        "ideal": str(ideal),
+        "primes": render_primes_spec(fe.factors),
+        "unit": fe.unit,
+    }
+    return inputs, ideal, fe
+
+
+FACTORIZATION_COLUMNS = ("lambda", "length", "blocks", "signs", "atomic")
 
 
 @main.command("factorizations")
@@ -191,7 +202,7 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget, fmt):
     and per-block atom flags."""
     started = time.perf_counter()
     try:
-        rng, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
+        inputs, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
         budget_obj = _budget(budget)
         factorizations = enumerate_tau_factorizations(fe, ideal, budget_obj)
         atoms: dict = {}  # blocks recur across factorizations
@@ -213,27 +224,19 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget, fmt):
             )
     except TaufactError as exc:
         _fail(exc)
-    inputs = {
-        "ring": rng.value,
-        "ideal": str(ideal),
-        "primes": render_primes_spec(fe.factors),
-        "unit": fe.unit,
-    }
     result = {"count": len(payload), "factorizations": payload}
-    text = [f"count: {len(payload)}"]
-    csv_lines = ["lambda,length,blocks,signs,atomic"]
-    for row in payload:
-        blocks = ", ".join(row["blocks"])
-        signs = ",".join("+" if s > 0 else "-" for s in row["signs"])
-        atomic = "yes" if row["atomic"] else "no"
-        text.append(
-            f"lambda={row['lambda']:+d} length={row['length']} "
-            f"blocks=[{blocks}] signs=[{signs}] atomic={atomic}"
-        )
-        csv_lines.append(
-            f"{row['lambda']},{row['length']},{'|'.join(row['blocks'])},{signs},{atomic}"
-        )
-    _emit("factorizations", inputs, result, fmt, text, csv_lines, started)
+    # Text and CSV show signs as +/- and the atomic flag as yes/no.
+    shown = [
+        {**row, "signs": ["+" if s > 0 else "-" for s in row["signs"]],
+         "atomic": "yes" if row["atomic"] else "no"}
+        for row in payload
+    ]
+    text = [f"count: {len(payload)}"] + [
+        f"lambda={r['lambda']:+d} length={r['length']} blocks=[{', '.join(r['blocks'])}] "
+        f"signs=[{','.join(r['signs'])}] atomic={r['atomic']}"
+        for r in shown
+    ]
+    _emit("factorizations", inputs, result, fmt, text, _csv(shown, FACTORIZATION_COLUMNS), started)
 
 
 @main.command("elasticity")
@@ -247,16 +250,10 @@ def cmd_elasticity(ring, ideal_text, primes_text, unit, budget, fmt):
     """Exact tau-elasticity of a factored element."""
     started = time.perf_counter()
     try:
-        rng, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
+        inputs, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
         report = elasticity(fe, ideal, _budget(budget))
     except TaufactError as exc:
         _fail(exc)
-    inputs = {
-        "ring": rng.value,
-        "ideal": str(ideal),
-        "primes": render_primes_spec(fe.factors),
-        "unit": fe.unit,
-    }
     result = _record(report)
     text = [f"{key}: {value}" for key, value in result.items()]
     _emit("elasticity", inputs, result, fmt, text, _csv([result], list(result)), started)

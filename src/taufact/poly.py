@@ -127,14 +127,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> Poly:
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = Poly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -39,13 +39,7 @@ from typing import Optional
 from .engine import DEFAULT_BUDGET, ElasticityReport, EnumerationBudget, elasticity
 from .errors import BudgetExceeded, NoWitnessPrime
 from .poly import Poly
-from .predictors import (
-    Atomicity,
-    PredictionContext,
-    _CENSUS_ROLES,
-    prediction_context,
-    sequence_element,
-)
+from .predictors import Atomicity, PredictionContext, prediction_context, sequence_element
 from .quotient import Ideal, find_primes_in_class
 from .rings import Element, FactoredElement, Ring, build_factored, is_prime_int
 
@@ -90,7 +84,7 @@ class SuiteReport:
 
 def _witness_pools(ctx: PredictionContext, bound: int, per_role: int = 3):
     pools = {}
-    for role in _CENSUS_ROLES[ctx.iso.iso_class]:
+    for role in ctx.iso.roles:
         target = ctx.iso.residue_of(role)
         pool = list(
             itertools.islice(find_primes_in_class(ctx.ideal, target, bound), per_role)
@@ -115,18 +109,11 @@ def _materialize(ctx: PredictionContext, counts, pools, unit: int) -> FactoredEl
     return build_factored(ctx.ideal.ring, unit, list(tally.items()))
 
 
-def _describe_profile(profile) -> str:
-    if profile.atomicity is Atomicity.ATOMIC:
-        return f"atomic lengths={sorted(profile.lengths)} rho={profile.elasticity}"
-    return profile.atomicity.value
-
-
-def _describe_report(report: ElasticityReport) -> str:
-    if report.is_atomic:
-        return (
-            f"atomic lengths={sorted(report.atomic_lengths)} rho={report.elasticity}"
-        )
-    return "not-atomic"
+def _describe(atomicity: Atomicity, lengths, rho) -> str:
+    """A predicted or an oracle profile as it prints in a case row."""
+    if atomicity is Atomicity.ATOMIC:
+        return f"atomic lengths={sorted(lengths)} rho={rho}"
+    return atomicity.value
 
 
 def run_predictor_suite(
@@ -139,7 +126,7 @@ def run_predictor_suite(
 ) -> SuiteReport:
     ideal = SUITE_IDEALS[suite]
     ctx = prediction_context(ideal, bound)
-    roles = _CENSUS_ROLES[ctx.iso.iso_class]
+    roles = ctx.iso.roles
     pools = _witness_pools(ctx, bound)
     rng = random.Random(seed)
     report = SuiteReport(suite)
@@ -158,44 +145,30 @@ def run_predictor_suite(
             oracle = elasticity(fe, ideal, budget)
         except BudgetExceeded as exc:
             # reported, not fatal: the case is skipped rather than failed
-            report.cases.append(
-                SuiteCase(
-                    element=str(fe),
-                    census=(census.k, census.l, census.m, census.n),
-                    ok=True,
-                    predicted=_describe_profile(profile),
-                    oracle="budget-exceeded",
-                    detail=str(exc),
-                )
-            )
-            continue
-
-        ok = True
-        detail = ""
-        if profile.atomicity is Atomicity.NO_CLOSED_FORM:
-            report.no_closed_form += 1
+            shown, problems, detail = "budget-exceeded", [], str(exc)
         else:
-            predicted_atomic = profile.atomicity is Atomicity.ATOMIC
-            if predicted_atomic != oracle.is_atomic:
-                ok = False
-                detail = "atomicity mismatch"
-            elif predicted_atomic and (
+            oracle_atomicity = Atomicity.ATOMIC if oracle.is_atomic else Atomicity.NOT_ATOMIC
+            shown = _describe(oracle_atomicity, oracle.atomic_lengths, oracle.elasticity)
+            problems = []
+            if profile.atomicity is Atomicity.NO_CLOSED_FORM:
+                report.no_closed_form += 1
+            elif profile.atomicity is not oracle_atomicity:
+                problems.append("atomicity mismatch")
+            elif oracle.is_atomic and (
                 profile.lengths != oracle.atomic_lengths
                 or profile.elasticity != oracle.elasticity
             ):
-                ok = False
-                detail = "length-set mismatch"
-        if half_factorial and oracle.is_atomic and len(oracle.atomic_lengths) != 1:
-            ok = False
-            detail = (detail + "; " if detail else "") + "multiple atomic lengths"
-
+                problems.append("length-set mismatch")
+            if half_factorial and oracle.is_atomic and len(oracle.atomic_lengths) != 1:
+                problems.append("multiple atomic lengths")
+            detail = "; ".join(problems)
         report.cases.append(
             SuiteCase(
                 element=str(fe),
                 census=(census.k, census.l, census.m, census.n),
-                ok=ok,
-                predicted=_describe_profile(profile),
-                oracle=_describe_report(oracle),
+                predicted=_describe(profile.atomicity, profile.lengths, profile.elasticity),
+                oracle=shown,
+                ok=not problems,
                 detail=detail,
             )
         )

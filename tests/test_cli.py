@@ -197,7 +197,7 @@ def test_verify_lemma4_reports_no_closed_form_cases(runner):
     assert payload["pass"] is True and payload["failures"] == 0
 
 
-def test_verify_hfd_z_small(runner):
+def test_verify_hfd_z_small(runner, shared_survey):
     result = run(runner, "verify", "hfd-z-small")
     assert result.exit_code == 0
     lines = result.output.splitlines()

@@ -18,6 +18,7 @@ and for a JSON case::
         > tests/goldens/<name>.txt
 """
 
+import csv
 import json
 from pathlib import Path
 
@@ -65,7 +66,8 @@ CASES = {
     "verify_lemma4": ("text", LEMMA4),
     "verify_lemma4_csv": ("csv", LEMMA4),
     "verify_lemma4_json": ("json", LEMMA4),
-    # The text run of hfd-z-small is compared in test_cli.test_verify_hfd_z_small.
+    # The text run of hfd-z-small is compared in test_cli.test_verify_hfd_z_small;
+    # all three formats render one shared survey (see conftest.shared_survey).
     "verify_hfd_z_small_csv": ("csv", HFD),
     "verify_hfd_z_small_json": ("json", HFD),
     **{
@@ -86,7 +88,13 @@ def render(fmt, args):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name):
+def test_cli_output_matches_golden(name, shared_survey):
     fmt, args = CASES[name]
     expected = (GOLDENS / f"{name}.txt").read_text()
     assert render(fmt, args) == expected
+
+
+@pytest.mark.parametrize("path", sorted(GOLDENS.glob("*_csv.txt")), ids=lambda p: p.stem)
+def test_csv_golden_rows_are_as_wide_as_the_header(path):
+    header, *rows = csv.reader(path.read_text().splitlines())
+    assert rows and [len(row) for row in rows] == [len(header)] * len(rows)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from taufact import predictors
 from taufact.engine import elasticity
-from taufact.errors import NotOrderFour
+from taufact.errors import InternalCheckFailed, NotOrderFour
 from taufact.poly import Poly
 from taufact.predictors import (
     Atomicity,
@@ -17,7 +19,7 @@ from taufact.predictors import (
     prediction_context,
     sequence_element,
 )
-from taufact.quotient import Ideal, IsoClass, reduce, unit_classes
+from taufact.quotient import Ideal, IsoClass, enumerate_residues, reduce, unit_classes
 from taufact.rings import Element, Ring, build_factored, expand
 
 I4 = Ideal(Ring.Z, 4)
@@ -239,3 +241,90 @@ def test_predictor_agrees_with_oracle_exhaustively_small(ideal):
         if report.is_atomic:
             assert profile.lengths == report.atomic_lengths, (counts, profile, report)
             assert profile.elasticity == report.elasticity
+
+
+# Every order-4 quotient of the shapes the CLI accepts, up to small
+# coefficients: 14 Z4, 45 Z2X_X2P1, 16 F4 and 20 Z2X_X2PX.
+ISO_CORPUS = (
+    [Ideal(Ring.Z, 4)]
+    + [Ideal(Ring.ZX, 4, Poly((a, 1))) for a in range(-6, 7)]
+    + [Ideal(Ring.ZX, 2, Poly((a, b, 1))) for a in range(-4, 5) for b in range(-4, 5)]
+)
+
+
+def iso_map_lines():
+    """One line per corpus ideal: its class and the role of each residue,
+    residues in counting order.  Regenerate the golden (only by hand, and
+    only when the role maps are meant to change) with::
+
+        PYTHONPATH=src:tests python3 -c 'import test_predictors as t; \\
+            print(*t.iso_map_lines(), sep="\\n")' > tests/goldens/iso_maps.txt
+    """
+    lines = []
+    for ideal in ISO_CORPUS:
+        iso = build_iso_map(ideal)
+        roles = " ".join(f"{r}->{iso.role_of(r)}" for r in enumerate_residues(ideal))
+        lines.append(f"{ideal} | {iso.iso_class.value} | {roles}")
+    return lines
+
+
+def test_iso_maps_match_golden():
+    golden = Path(__file__).parent / "goldens" / "iso_maps.txt"
+    assert iso_map_lines() == golden.read_text().splitlines()
+
+
+def test_iso_map_rejects_tables_that_do_not_transport(monkeypatch):
+    # The quotient is equal to, but not the same object as, the model ring
+    # of its class, so only its own sum table is corrupted: x + (x+1) -> 0.
+    ideal = Ideal(Ring.ZX, 2, Poly((0, 1, 1)))
+    real = predictors.residue_add
+
+    def corrupted(a, b):
+        total = real(a, b)
+        if a.ideal is ideal and {a.rep, b.rep} == {Poly.x(), Poly((1, 1))}:
+            return reduce(zx(()), ideal)
+        return total
+
+    monkeypatch.setattr(predictors, "residue_add", corrupted)
+    with pytest.raises(InternalCheckFailed):
+        build_iso_map(ideal)
+    # An equal ideal that is another object still maps: the model is intact.
+    assert build_iso_map(Ideal(Ring.ZX, 2, Poly((0, 1, 1)))).iso_class is IsoClass.Z2X_X2PX
+
+
+def test_predictor_suite_reports_budget_exceeded_cases(monkeypatch):
+    """A case whose oracle run exceeds the budget is an ok row that names
+    the budget error and still shows its census and prediction."""
+    from taufact import verify
+    from taufact.engine import EnumerationBudget
+    from taufact.errors import BudgetExceeded
+
+    real = verify.elasticity
+    raised = []
+
+    def recording(fe, ideal, budget):
+        try:
+            return real(fe, ideal, budget)
+        except BudgetExceeded as exc:
+            raised.append(str(exc))
+            raise
+
+    full = verify.run_predictor_suite("lemma4", samples=12, seed=2)
+    monkeypatch.setattr(verify, "elasticity", recording)
+    tight = verify.run_predictor_suite(
+        "lemma4", samples=12, seed=2, budget=EnumerationBudget(max_partitions=50)
+    )
+    exceeded = [i for i, case in enumerate(tight.cases) if case.oracle == "budget-exceeded"]
+    assert 0 < len(exceeded) < len(tight.cases) and len(raised) == len(exceeded)
+    for i, message in zip(exceeded, raised):
+        case, same = tight.cases[i], full.cases[i]
+        assert case.ok is True and case.detail == message
+        assert (case.element, case.census, case.predicted) == (
+            same.element, same.census, same.predicted,
+        )
+        assert case.census != (0, 0, 0, 0) and case.predicted
+    kept = [i for i in range(len(tight.cases)) if i not in exceeded]
+    assert [tight.cases[i] for i in kept] == [full.cases[i] for i in kept]
+    assert tight.no_closed_form == sum(
+        1 for i in kept if tight.cases[i].predicted == "no-closed-form"
+    )
