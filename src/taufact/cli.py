@@ -23,12 +23,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .engine import (
-    EnumerationBudget,
-    elasticity,
-    enumerate_tau_factorizations,
-    is_tau_atom,
-)
+from .engine import EnumerationBudget, atom_test, elasticity, enumerate_tau_factorizations
 from .errors import TaufactError, UnsupportedDegree
 from .quotient import cayley_table, classify, reduce
 from .rings import Ring, build_factored, expand, load_registry
@@ -205,13 +200,10 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget, fmt):
         inputs, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
         budget_obj = _budget(budget)
         factorizations = enumerate_tau_factorizations(fe, ideal, budget_obj)
-        atoms: dict = {}  # blocks recur across factorizations
+        is_atom = atom_test(fe, ideal, budget_obj)
         payload = []
         for tf in factorizations:
-            for block in tf.blocks:
-                if block not in atoms:
-                    atoms[block] = is_tau_atom(block, ideal, budget_obj)
-            flags = [atoms[block] for block in tf.blocks]
+            flags = [is_atom(block) for block in tf.blocks]
             payload.append(
                 {
                     "lambda": tf.lam,

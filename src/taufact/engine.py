@@ -20,18 +20,23 @@ Only residues steer the search, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
 residue; no block product is expanded until a yielded partition is sorted.
 
-An element is a tau-atom when no split into two or more blocks is yielded.
-Atomhood depends only on the block and the ideal; it is memoized per call
-on the block's part-vector, because the same sub-blocks recur across
-partitions.  All public results are canonically sorted before returning, so
-output never depends on exploration order.
+Counts need no listing.  For each sign class K, a knapsack over the
+sub-vectors of class K counts the multisets of them summing to each
+sub-vector w of the multiplicity vector; summed over K, that is the number
+of tau-factorizations of w, and w is a tau-atom exactly when it is 1.
+(Not the class of w alone: 2*2 modulo 5 lies in {1, 4}, splits in {2, 3}.)
+A second knapsack per class, over atoms only, gives the atomic
+factorizations' count and lengths.  All public results are canonically
+sorted, so output never depends on exploration order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import product
+from math import comb, prod
+from typing import Callable, Optional
 
 from .errors import BudgetExceeded, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
@@ -41,15 +46,17 @@ from .rings import Element, FactoredElement, expand
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps on the enumeration; exceeding one raises BudgetExceeded.
+    """Caps on the work of one call; exceeding one raises BudgetExceeded.
 
-    ``max_primes`` caps the total prime multiplicity of the input;
-    ``max_partitions`` caps the candidate blocks one partition search
-    examines, whether or not they end up in a yielded partition.
+    ``max_primes`` caps the total prime multiplicity of the input.
+    ``max_partitions`` caps steps: for the kernel, the (part, target) pairs
+    of one knapsack pass, prod C(v_i + 2, 2) - prod (v_i + 1) for a vector
+    v, checked before any work; for the enumerator, candidate blocks
+    examined, whether or not they end up in a yielded partition.
     """
 
     max_primes: int = 14
-    max_partitions: int = 1_000_000
+    max_partitions: int = 5_000_000
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -87,11 +94,13 @@ class ElasticityReport:
 
 class _Context:
     """Per-call state: the prime multiset as a vector, each prime's residue,
-    plus residue, sign-class and atomhood caches keyed on part-vectors."""
+    plus residue and sign-class caches keyed on part-vectors.  The kernel
+    packs a part-vector into one int with a bit field per prime; sums that
+    stay below the vector never carry."""
 
     __slots__ = (
-        "fe", "ideal", "budget", "primes", "vector", "_prime_residues",
-        "_residues", "_classes", "_atoms",
+        "fe", "ideal", "budget", "primes", "vector", "shifts", "_prime_residues",
+        "_residues", "_classes",
     )
 
     def __init__(self, fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget):
@@ -112,12 +121,51 @@ class _Context:
         self._prime_residues = tuple(reduce(p, ideal) for p in self.primes)
         self._residues: dict = {}
         self._classes: dict = {}
-        self._atoms: dict = {}
+        width = max(self.vector).bit_length()
+        self.shifts = tuple(width * i for i in range(len(self.vector)))
 
-    def partitions(self, part: tuple[int, ...], min_blocks: int = 1):
-        return vector_partitions(
-            part, self.sign_class, min_blocks, self.budget.max_partitions
-        )
+    def pack(self, part) -> int:
+        return sum(mult << shift for mult, shift in zip(part, self.shifts))
+
+    def pass1(self) -> tuple[list, dict]:
+        """The nonzero sub-vectors grouped by sign class, and the number of
+        tau-factorizations of each, keyed packed."""
+        steps = prod(comb(e + 2, 2) for e in self.vector) - prod(e + 1 for e in self.vector)
+        if steps > self.budget.max_partitions:
+            raise BudgetExceeded(
+                f"{steps} kernel steps exceed the budget of {self.budget.max_partitions}"
+            )
+        groups: dict = {}
+        for part in product(*(range(e + 1) for e in self.vector)):
+            if any(part):
+                groups.setdefault(self.sign_class(part), []).append(part)
+        total: dict = {}
+        for parts in groups.values():
+            for w, c in self.knapsack(parts, False)[0].items():
+                total[w] = total.get(w, 0) + c
+        return list(groups.values()), total
+
+    def knapsack(self, parts: list[tuple[int, ...]], lengths: bool) -> tuple[dict, dict]:
+        """How many multisets of ``parts`` sum to each packed w <= v, and, if
+        ``lengths``, a bitmask of their sizes.  Part s adds d into d + s for
+        each d <= v - s ascending, so s may repeat; unused coordinates stay 0."""
+        used = [i for i in range(len(self.vector)) if any(p[i] for p in parts)]
+        count, sizes = {0: 1}, {0: 1}
+        for part in parts:
+            box = [0]
+            for i in reversed(used):  # ascending: the lowest field varies fastest
+                if self.vector[i] > part[i]:
+                    ks = [k << self.shifts[i] for k in range(self.vector[i] - part[i] + 1)]
+                    box = [d + k for d in box for k in ks]
+            s = self.pack(part)
+            for d in box:
+                c = count.get(d)
+                if c:
+                    t = d + s
+                    count[t] = count.get(t, 0) + c
+                    if lengths:
+                        sizes[t] = sizes.get(t, 0) | sizes[d] << 1
+        return count, sizes
 
     def residue(self, part: tuple[int, ...]) -> Residue:
         """The block's residue: the residue of the block without one copy of
@@ -141,15 +189,6 @@ class _Context:
             cached = self._classes[part] = frozenset((residue, minus))
         return cached
 
-    def is_atom(self, part: tuple[int, ...]) -> bool:
-        """True iff the block with this part-vector has no split into two or
-        more blocks of one sign class."""
-        cached = self._atoms.get(part)
-        if cached is None:
-            split = next(self.partitions(part, min_blocks=2), None)
-            cached = self._atoms[part] = split is None
-        return cached
-
     def block(self, part: tuple[int, ...]) -> FactoredElement:
         factors = tuple(
             (prime, mult) for prime, mult in zip(self.primes, part) if mult
@@ -166,7 +205,7 @@ def enumerate_tau_factorizations(
     ctx = _Context(fe, ideal, budget)
     sort_keys: dict = {}  # blocks recur across partitions
     found = []
-    for partition in ctx.partitions(ctx.vector):
+    for partition in vector_partitions(ctx.vector, ctx.sign_class, budget.max_partitions):
         for p in partition:
             if p not in sort_keys:
                 sort_keys[p] = expand(ctx.block(p)).sort_key
@@ -184,12 +223,22 @@ def enumerate_tau_factorizations(
     return [tf for _, tf in found]
 
 
+def atom_test(
+    fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> Callable[[FactoredElement], bool]:
+    """A test of tau-atomhood for every block built from fe's primes, such
+    as the blocks of fe's factorizations, decided by one kernel pass."""
+    ctx = _Context(fe, ideal, budget)
+    total = ctx.pass1()[1]
+    shift = dict(zip(ctx.primes, ctx.shifts))
+    return lambda block: total[sum(m << shift[p] for p, m in block.factors)] == 1
+
+
 def is_tau_atom(
     fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> bool:
     """True iff fe admits no tau-factorization with two or more blocks."""
-    ctx = _Context(fe, ideal, budget)
-    return ctx.is_atom(ctx.vector)
+    return atom_test(fe, ideal, budget)(fe)
 
 
 def elasticity(
@@ -202,14 +251,15 @@ def elasticity(
     ratio.
     """
     ctx = _Context(fe, ideal, budget)
-    factorization_count = 0
-    atomic_count = 0
-    lengths: set[int] = set()
-    for partition in ctx.partitions(ctx.vector):
-        factorization_count += 1
-        if all(ctx.is_atom(p) for p in partition):
-            atomic_count += 1
-            lengths.add(len(partition))
+    groups, total = ctx.pass1()
+    whole = ctx.pack(ctx.vector)
+    factorization_count = total[whole]
+    atomic_count = sizes = 0
+    for parts in groups:
+        count, masks = ctx.knapsack([p for p in parts if total[ctx.pack(p)] == 1], True)
+        atomic_count += count.get(whole, 0)
+        sizes |= masks.get(whole, 0)
+    lengths = {n for n in range(sizes.bit_length()) if sizes >> n & 1}
     if lengths:
         lo, hi = min(lengths), max(lengths)
         return ElasticityReport(

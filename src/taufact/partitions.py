@@ -4,8 +4,7 @@ A multiset is handled as a multiplicity vector over its distinct elements.
 A partition is a multiset of nonzero part-vectors summing to the whole; it
 is generated exactly once, with parts in non-increasing lexicographic order
 (index 0 most significant).  The first part of the first partition is the
-whole vector, so the trivial one-block partition always comes first and
-callers that only need proper splits can skip it cheaply.
+whole vector, so the trivial one-block partition always comes first.
 
 Only partitions whose parts all share one ``key`` are generated: the first
 part fixes the key, and a candidate part with another key is skipped before
@@ -42,7 +41,6 @@ class _Budget:
 def vector_partitions(
     vector: tuple[int, ...],
     key: Callable[[tuple[int, ...]], Hashable],
-    min_blocks: int = 1,
     max_partitions: Optional[int] = None,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield the partitions of a multiplicity vector whose parts share one
@@ -53,13 +51,12 @@ def vector_partitions(
     """
     if not vector or not any(vector):
         raise ValueError("vector must have positive total multiplicity")
-    yield from _partitions(vector, vector, [], None, key, min_blocks, _Budget(max_partitions))
+    yield from _partitions(vector, vector, [], None, key, _Budget(max_partitions))
 
 
-def _partitions(remaining, bound, acc, target, key, min_blocks, budget):
+def _partitions(remaining, bound, acc, target, key, budget):
     if not any(remaining):
-        if len(acc) >= min_blocks:
-            yield tuple(acc)
+        yield tuple(acc)
         return
     for part in _parts_descending(remaining, bound):
         budget.charge()
@@ -69,7 +66,7 @@ def _partitions(remaining, bound, acc, target, key, min_blocks, budget):
         acc.append(part)
         yield from _partitions(
             tuple(r - p for r, p in zip(remaining, part)),
-            part, acc, part_key, key, min_blocks, budget,
+            part, acc, part_key, key, budget,
         )
         acc.pop()
 

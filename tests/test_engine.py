@@ -308,10 +308,32 @@ def test_engine_matches_naive_on_other_ideals(ideal, pool):
 
 def test_budget_binds_when_nothing_is_yielded():
     # Over Z mod 0 the blocks of a split must be equal up to sign, so six
-    # distinct primes have no split at all: the search yields nothing, and
-    # only the count of parts examined can stop it.
+    # distinct primes have no split at all.  The kernel's steps follow from
+    # the multiplicity vector alone (3^6 - 2^6 = 665 here), so the cap binds
+    # before any work, whether or not a split exists.
     fe = z_factored((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1))
     ideal = Ideal(Ring.Z, 0)
     assert is_tau_atom(fe, ideal)
     with pytest.raises(BudgetExceeded):
         is_tau_atom(fe, ideal, EnumerationBudget(max_partitions=50))
+
+
+def test_kernel_budget_boundary():
+    # v = (4, 4): C(6, 2)^2 - 5^2 = 200 (part, target) pairs per pass.
+    steps = 200
+    assert not is_tau_atom(seq(4), IX2PX, EnumerationBudget(max_partitions=steps))
+    report = elasticity(seq(4), IX2PX, EnumerationBudget(max_partitions=steps))
+    assert report.atomic_lengths == frozenset({2, 3, 4})
+    message = f"{steps} kernel steps exceed the budget of {steps - 1}"
+    for decide in (is_tau_atom, elasticity):
+        with pytest.raises(BudgetExceeded, match=message):
+            decide(seq(4), IX2PX, EnumerationBudget(max_partitions=steps - 1))
+
+
+def test_default_budget_admits_every_element_within_max_primes():
+    # Distinct primes are the costliest vector of a given total: 14 of them
+    # take 3^14 - 2^14 = 4,766,585 steps, under the default cap.
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    assert is_tau_atom(z_factored(*((p, 1) for p in primes)), Ideal(Ring.Z, 0))
+    with pytest.raises(BudgetExceeded, match="15 primes exceed"):
+        is_tau_atom(z_factored(*((p, 1) for p in primes + (47,))), Ideal(Ring.Z, 0))

@@ -38,6 +38,7 @@ ELAST_X2PX = ("elasticity", "--ideal", "2, x^2+x", "--primes", "x:3, x+1:3")
 LEMMA4 = ("verify", "lemma4", "--samples", "40", "--seed", "11")
 SEQUENCE = ("sequence", "--max-i", "7")
 MAIN = ("verify", "main", "--max-i", "7")
+MAIN_30 = ("verify", "main", "--max-i", "30", "--budget", "60")
 HFD = ("verify", "hfd-z-small")
 CLASSIFY = {
     "x2px": ("classify", "--ideal", "2, x^2+x"),
@@ -63,6 +64,7 @@ CASES = {
     "verify_main_7": ("text", MAIN),
     "verify_main_7_csv": ("csv", MAIN),
     "verify_main_7_json": ("json", MAIN),
+    "verify_main_30": ("text", MAIN_30),
     "verify_lemma4": ("text", LEMMA4),
     "verify_lemma4_csv": ("csv", LEMMA4),
     "verify_lemma4_json": ("json", LEMMA4),

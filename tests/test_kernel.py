@@ -1,0 +1,78 @@
+"""The counting kernel against the listing enumerator.
+
+``elasticity``, ``is_tau_atom`` and ``atom_test`` count with a per-class
+knapsack over sub-vectors of the prime multiplicity vector, while
+``enumerate_tau_factorizations`` lists multiset partitions.  The two share
+only the residue arithmetic, so their agreement checks both.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from taufact.engine import (
+    EnumerationBudget,
+    atom_test,
+    elasticity,
+    enumerate_tau_factorizations,
+    is_tau_atom,
+)
+from taufact.poly import Poly
+from taufact.quotient import Ideal
+from taufact.rings import Element, Ring, build_factored
+from taufact.verify import SUITE_IDEALS
+
+Z_PRIMES = [Element.integer(p) for p in (2, 3, 5, 7, 11, 13, 17)]
+ZX_PRIMES = [
+    Element.polynomial(Poly(coeffs))
+    for coeffs in ((2,), (3,), (0, 1), (1, 1), (2, 1), (1, 0, 1), (1, 1, 1))
+]
+IDEALS = [Ideal(Ring.Z, m) for m in range(19)] + list(SUITE_IDEALS.values())
+
+
+def z_element(*primes):
+    return build_factored(Ring.Z, 1, [(Element.integer(p), 1) for p in primes])
+
+
+@st.composite
+def censuses(draw):
+    """An ideal and a unit times at most seven primes, repeats allowed."""
+    ideal = draw(st.sampled_from(IDEALS))
+    pool = Z_PRIMES if ideal.ring is Ring.Z else ZX_PRIMES
+    primes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    unit = draw(st.sampled_from((1, -1)))
+    return build_factored(ideal.ring, unit, [(p, 1) for p in primes]), ideal
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(censuses())
+# 2*2 mod 5 and mod 7: the square splits only outside its own class.
+@example((z_element(2, 2), Ideal(Ring.Z, 5)))
+@example((z_element(2, 2, 3), Ideal(Ring.Z, 7)))
+def test_kernel_counts_what_the_enumerator_lists(case):
+    fe, ideal = case
+    listed = enumerate_tau_factorizations(fe, ideal)
+    report = elasticity(fe, ideal)
+    assert report.factorization_count == len(listed)
+    assert is_tau_atom(fe, ideal) == (len(listed) == 1)
+    single = {
+        block: len(enumerate_tau_factorizations(block, ideal)) == 1
+        for tf in listed
+        for block in tf.blocks
+    }
+    is_atom = atom_test(fe, ideal)
+    assert {block: is_atom(block) for block in single} == single
+    atomic = [tf for tf in listed if all(single[b] for b in tf.blocks)]
+    assert report.atomic_count == len(atomic)
+    assert report.atomic_lengths == frozenset(tf.length for tf in atomic)
+
+
+@pytest.mark.parametrize(
+    "i,factorizations,atomic",
+    [(14, 19_125, 648), (20, 1_130_612, 9_320), (30, 560_036_477, 460_184)],
+)
+def test_main_sequence_counts(i, factorizations, atomic):
+    x, xp1 = Element.polynomial(Poly.x()), Element.polynomial(Poly((1, 1)))
+    fe = build_factored(Ring.ZX, 1, [(x, i), (xp1, i)])
+    report = elasticity(fe, SUITE_IDEALS["lemma4"], EnumerationBudget(max_primes=60))
+    assert (report.factorization_count, report.atomic_count) == (factorizations, atomic)
+    assert report.atomic_lengths == frozenset(range(2, i + 1))

@@ -40,15 +40,6 @@ def test_single_item():
     assert list(vector_partitions((1,), same_key)) == [((1,),)]
 
 
-def test_min_blocks():
-    assert list(vector_partitions((1, 1), same_key, min_blocks=2)) == [((1, 0), (0, 1))]
-    assert list(vector_partitions((2, 1), same_key, min_blocks=2)) == [
-        ((2, 0), (0, 1)),
-        ((1, 1), (1, 0)),
-        ((1, 0), (1, 0), (0, 1)),
-    ]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_distinct_items_count_is_bell(n):
     assert sum(1 for _ in vector_partitions((1,) * n, same_key)) == BELL[n]
