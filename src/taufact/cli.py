@@ -112,7 +112,7 @@ def _fail(exc: TaufactError):
 
 ring_option = click.option("--ring", type=click.Choice(["z", "zx"]), default=None, help="Ambient ring (inferred from the ideal when omitted).")
 format_option = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text")
-budget_option = click.option("--budget", type=int, default=14, show_default=True, help="Cap on total prime multiplicity.")
+budget_option = click.option("--budget", type=click.IntRange(min=1), default=14, show_default=True, help="Cap on total prime multiplicity.")
 
 
 @main.command("reduce")

@@ -33,15 +33,16 @@ from typing import Optional
 from .errors import InternalCheckFailed, WrongIsoClass
 from .poly import Poly
 from .quotient import (
+    CayleyTable,
     Ideal,
     IsoClass,
     Residue,
-    classify_order4,
-    enumerate_residues,
-    find_prime_in_class,
+    cayley_table,
+    classify,
+    find_primes_in_class,
+    order4_table,
     reduce,
     residue_add,
-    residue_mul,
     unit_classes,
 )
 from .rings import Element, FactoredElement, Ring, build_factored, expand
@@ -83,26 +84,33 @@ class IsoMap:
         return _CENSUS_ROLES[self.iso_class]
 
 
-def _tables(residues) -> tuple[tuple[int, ...], ...]:
-    """Product and sum tables as indices into ``residues``, row-major."""
+def _tables(table: CayleyTable) -> tuple[tuple[int, ...], ...]:
+    """Product and sum tables as indices into ``table.residues``, row-major."""
+    residues = table.residues
     index = {r: i for i, r in enumerate(residues)}
-    return tuple(
-        tuple(index[op(a, b)] for a in residues for b in residues)
-        for op in (residue_mul, residue_add)
+    return (
+        tuple(k for row in table.product for k in row),
+        tuple(index[residue_add(a, b)] for a in residues for b in residues),
     )
+
+
+# The model rings never change, so their tables are built once, at import.
+_MODELS = {cls: cayley_table(ideal) for cls, ideal in CANONICAL_IDEALS.items()}
+_MODEL_TABLES = {cls: _tables(model) for cls, model in _MODELS.items()}
 
 
 def build_iso_map(ideal: Ideal) -> IsoMap:
     """The isomorphism onto the model ring of the quotient's class: the
     first bijection, in sort-key order of the quotient's residues, that
     carries the model's product and sum tables onto the quotient's.  The
-    role of a residue is the printed form of its model residue."""
-    cls = classify_order4(ideal)
-    if cls not in CANONICAL_IDEALS:
+    role of a residue is the printed form of its model residue.  On order
+    4 the counting order of residues is their sort-key order."""
+    table = order4_table(ideal)
+    _, cls = classify(table)
+    if cls not in _MODELS:
         raise WrongIsoClass(f"cannot build an isomorphism for {cls.value}")
-    ours = sorted(enumerate_residues(ideal), key=lambda r: Element(ideal.ring, r.rep).sort_key)
-    model = enumerate_residues(CANONICAL_IDEALS[cls])
-    our_tables, model_tables = _tables(ours), _tables(model)
+    ours, model = table.residues, _MODELS[cls].residues
+    our_tables, model_tables = _tables(table), _MODEL_TABLES[cls]
     for image in itertools.permutations(range(4)):  # model index -> our index
         if all(
             image[theirs[4 * i + j]] == mine[4 * image[i] + image[j]]
@@ -297,11 +305,9 @@ class PredictionContext:
 def prediction_context(ideal: Ideal, bound: int = 50) -> PredictionContext:
     iso = build_iso_map(ideal)
     unit_roles = frozenset(iso.role_of(u) for u in unit_classes(ideal))
-    both = (
-        find_prime_in_class(ideal, iso.residue_of("x"), bound) is not None
-        and find_prime_in_class(ideal, iso.residue_of("x+1"), bound) is not None
-        if iso.iso_class is not IsoClass.Z4
-        else False
+    both = iso.iso_class is not IsoClass.Z4 and all(
+        next(find_primes_in_class(ideal, iso.residue_of(role), bound), None) is not None
+        for role in ("x", "x+1")
     )
     return PredictionContext(ideal, iso, unit_roles, both)
 

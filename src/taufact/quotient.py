@@ -7,8 +7,11 @@ mod m.  Two elements are congruent iff their canonical residues coincide,
 and for m >= 2 with g present the quotient is finite with m**deg(g)
 residues, which is enough to build the full Cayley table.
 
-Order-4 quotients are classified by cheap fingerprint counts (the additive
-order of 1, squares equal to zero or to themselves, and invertibility)
+``cayley_table`` is the one place that computes the structure of a finite
+quotient: residues in counting order (zero and one first) and the product
+table as indices into them.  Order-4 quotients are classified by cheap
+fingerprint counts read off that table (the characteristic, which is the
+modulus m, squares equal to zero or to themselves, and invertibility),
 which separate the four isomorphism classes without any isomorphism search.
 """
 
@@ -19,13 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import (
-    InfiniteQuotient,
-    InternalCheckFailed,
-    NonMonicGenerator,
-    NotOrderFour,
-    RingMismatch,
-)
+from .errors import InfiniteQuotient, NonMonicGenerator, NotOrderFour, RingMismatch
 from .poly import Poly, divmod_monic
 from .rings import Element, Ring, constant, is_prime_int, verify_prime
 
@@ -112,22 +109,17 @@ def residue_add(a: Residue, b: Residue) -> Residue:
 
 
 def enumerate_residues(ideal: Ideal) -> tuple[Residue, ...]:
-    """All canonical residues in deterministic counting order."""
+    """All canonical residues in deterministic counting order: the lowest
+    coefficient varies fastest, so zero and one come first."""
     if not ideal.is_finite_quotient:
         raise InfiniteQuotient(f"cannot enumerate residues of ({ideal})")
     m = ideal.modulus
     if ideal.ring is Ring.Z:
         return tuple(Residue(ideal, n) for n in range(m))
-    degree = ideal.generator.degree
-    out = []
-    for n in range(m**degree):
-        digits = []
-        v = n
-        for _ in range(degree):
-            digits.append(v % m)
-            v //= m
-        out.append(Residue(ideal, Poly(tuple(digits))))
-    return tuple(out)
+    return tuple(
+        Residue(ideal, Poly(digits[::-1]))
+        for digits in itertools.product(range(m), repeat=ideal.generator.degree)
+    )
 
 
 @dataclass(frozen=True)
@@ -135,9 +127,6 @@ class CayleyTable:
     ideal: Ideal
     residues: tuple[Residue, ...]
     product: tuple[tuple[int, ...], ...]
-
-    def entry(self, i: int, j: int) -> Residue:
-        return self.residues[self.product[i][j]]
 
 
 def cayley_table(ideal: Ideal) -> CayleyTable:
@@ -160,25 +149,15 @@ class QuotientFingerprint:
 
 
 def quotient_fingerprint(table: CayleyTable) -> QuotientFingerprint:
-    """Fingerprint counts of the quotient, read off its product table."""
-    ideal, residues = table.ideal, table.residues
-    one_res = reduce(constant(ideal.ring, 1), ideal)
-    zero_res = reduce(constant(ideal.ring, 0), ideal)
+    """Fingerprint counts of the quotient, read off its product table.
 
-    characteristic = 1
-    acc = one_res
-    while acc != zero_res:
-        acc = residue_add(acc, one_res)
-        characteristic += 1
-        if characteristic > len(residues):
-            raise InternalCheckFailed("additive order of 1 exceeds quotient size")
-
-    zero, one = residues.index(zero_res), residues.index(one_res)
+    (Z/m)[x]/(g) with g monic is free over Z/m, so the additive order of 1
+    is m; zero and one sit at indices 0 and 1 of the counting order."""
     squares = [row[i] for i, row in enumerate(table.product)]
-    nilpotent = squares.count(zero)
+    nilpotent = squares.count(0)
     idempotent = sum(1 for i, sq in enumerate(squares) if sq == i)
-    units = sum(1 for row in table.product if one in row)
-    return QuotientFingerprint(len(residues), characteristic, nilpotent, idempotent, units)
+    units = sum(1 for row in table.product if 1 in row)
+    return QuotientFingerprint(len(table.residues), table.ideal.modulus, nilpotent, idempotent, units)
 
 
 class IsoClass(enum.Enum):
@@ -189,11 +168,16 @@ class IsoClass(enum.Enum):
     OTHER = "Other"
 
 
-def classify_order4(ideal: Ideal) -> IsoClass:
-    """Assign one of the four order-4 ring classes from the fingerprint."""
+def order4_table(ideal: Ideal) -> CayleyTable:
+    """The Cayley table of a quotient of order 4; any other order is refused."""
     if not ideal.is_finite_quotient or ideal.quotient_size != 4:
         raise NotOrderFour(f"quotient by ({ideal}) does not have order 4")
-    return _order4_class(quotient_fingerprint(cayley_table(ideal)))
+    return cayley_table(ideal)
+
+
+def classify_order4(ideal: Ideal) -> IsoClass:
+    """Assign one of the four order-4 ring classes from the fingerprint."""
+    return classify(order4_table(ideal))[1]
 
 
 def _order4_class(fp: QuotientFingerprint) -> IsoClass:
@@ -237,18 +221,13 @@ def find_primes_in_class(ideal: Ideal, target: Residue, bound: int = 50) -> Iter
         raise InfiniteQuotient(f"cannot search prime classes of ({ideal})")
     if target.ideal != ideal:
         raise RingMismatch("target residue belongs to a different ideal")
-    if ideal.ring is Ring.Z:
-        for n in range(2, bound + 1):
-            if is_prime_int(n):
-                cand = Element.integer(n)
-                if reduce(cand, ideal) == target:
-                    yield cand
-        return
     for n in range(2, bound + 1):
         if is_prime_int(n):
-            cand = Element.polynomial(Poly.constant(n))
+            cand = constant(ideal.ring, n)
             if reduce(cand, ideal) == target:
                 yield cand
+    if ideal.ring is Ring.Z:
+        return
     magnitudes = sorted(range(-bound, bound + 1), key=lambda c: (abs(c), c < 0))
     for degree in (1, 2, 3):
         for tail in itertools.product(magnitudes, repeat=degree):
@@ -259,10 +238,3 @@ def find_primes_in_class(ideal: Ideal, target: Residue, bound: int = 50) -> Iter
                 continue
             if verify_prime(cand):
                 yield cand
-
-
-def find_prime_in_class(ideal: Ideal, target: Residue, bound: int = 50) -> Optional[Element]:
-    """First prime of the bounded search, or None if the budget is exhausted."""
-    for prime in find_primes_in_class(ideal, target, bound):
-        return prime
-    return None

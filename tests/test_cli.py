@@ -280,6 +280,24 @@ def test_verify_without_witness_prime_is_an_error_object(runner, suite, bound):
     assert f"bound {bound}" in payload["detail"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "lemma1", "--samples", "5"),
+        ("verify", "main", "--max-i", "3"),
+        ("elasticity", "--ring", "zx", "--ideal", "2, x^2+x", "--primes", "x:2, x+1:2"),
+        ("factorizations", "--ring", "z", "--ideal", "3", "--primes", "2:2, 7:1"),
+        ("sequence", "--max-i", "3"),
+    ],
+)
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_is_a_usage_error(runner, args, budget):
+    result = runner.invoke(main, [*args, "--budget", budget])
+    assert result.exit_code == 2
+    assert "--budget" in result.output
+    assert "pass=" not in result.output
+
+
 def test_classify_builds_one_product_table(runner, monkeypatch):
     real = quotient.residue_mul
     calls = []

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from taufact import predictors
+from taufact import predictors, quotient
 from taufact.engine import elasticity
 from taufact.errors import InternalCheckFailed, NotOrderFour
 from taufact.poly import Poly
@@ -204,11 +204,11 @@ def test_predictor_agrees_with_oracle_exhaustively_small(ideal):
     """Every census with at most 6 primes, one witness prime per role."""
     import itertools
 
-    from taufact.quotient import find_prime_in_class
+    from taufact.quotient import find_primes_in_class
 
     ctx = prediction_context(ideal)
     witnesses = {
-        role: find_prime_in_class(ideal, ctx.iso.residue_of(role), 50)
+        role: next(find_primes_in_class(ideal, ctx.iso.residue_of(role), 50), None)
         for role in ctx.iso.roles
     }
     assert all(w is not None for w in witnesses.values())
@@ -271,6 +271,29 @@ def iso_map_lines():
 def test_iso_maps_match_golden():
     golden = Path(__file__).parent / "goldens" / "iso_maps.txt"
     assert iso_map_lines() == golden.read_text().splitlines()
+
+
+def test_counting_order_is_sort_key_order_on_every_order_four_ideal():
+    assert len(ISO_CORPUS) == 95
+    for ideal in ISO_CORPUS:
+        residues = list(enumerate_residues(ideal))
+        assert sorted(residues, key=lambda r: Element(ideal.ring, r.rep).sort_key) == residues
+
+
+def test_iso_search_multiplies_each_residue_pair_once(monkeypatch):
+    calls = {"residue_mul": 0, "residue_add": 0}
+    for name in calls:
+        real = getattr(quotient, name)
+
+        def counting(a, b, real=real, name=name):
+            calls[name] += 1
+            return real(a, b)
+
+        # Patched wherever the iso search could look the name up.
+        for module in (quotient, predictors):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    build_iso_map(Ideal(Ring.ZX, 2, Poly((0, 1, 1))))
+    assert calls == {"residue_mul": 16, "residue_add": 16}
 
 
 def test_iso_map_rejects_tables_that_do_not_transport(monkeypatch):

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,14 +15,14 @@ from taufact.quotient import (
     classify_order4,
     congruent,
     enumerate_residues,
-    find_prime_in_class,
     find_primes_in_class,
     quotient_fingerprint,
     reduce,
+    residue_add,
     residue_mul,
     unit_classes,
 )
-from taufact.rings import Element, Ring, verify_prime
+from taufact.rings import Element, Ring, constant, verify_prime
 
 X = Poly.x()
 XP1 = Poly((1, 1))
@@ -104,7 +106,7 @@ def _table_cells(ideal):
     reps = ["1", "x", "x+1"]
     idx = {str(r): i for i, r in enumerate(table.residues)}
     return {
-        (a, b): str(table.entry(idx[a], idx[b])) for a in reps for b in reps
+        (a, b): str(table.residues[table.product[idx[a]][idx[b]]]) for a in reps for b in reps
     }
 
 
@@ -191,6 +193,51 @@ def test_classify_rejects_other_sizes():
     assert fp.size == 6 and cls is IsoClass.OTHER
 
 
+def _additive_order_of_one(ideal):
+    """Reference characteristic: add 1 to itself until the sum is 0."""
+    one = reduce(constant(ideal.ring, 1), ideal)
+    zero = reduce(constant(ideal.ring, 0), ideal)
+    order, acc = 1, one
+    while acc != zero:
+        acc = residue_add(acc, one)
+        order += 1
+        assert order <= ideal.quotient_size
+    return order
+
+
+def _classify_plan():
+    """The (ring, modulus, generator degree) shapes the benchmark's
+    ``classify`` cases draw their ideals from."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CLASSIFY_PLAN":
+            return ast.literal_eval(node.value)
+    raise LookupError("bench/workloads.py defines no CLASSIFY_PLAN")
+
+
+def _shape_ideals():
+    """Z/m for m = 2..30, and one ideal per monic generator with
+    coefficients mod m for each Z[x] shape of the classify plan."""
+    ideals = [Ideal(Ring.Z, m) for m in range(2, 31)]
+    for ring, m, degree in sorted(set(_classify_plan())):
+        if ring == "zx":
+            ideals += [
+                Ideal(Ring.ZX, m, Poly(tail + (1,)))
+                for tail in itertools.product(range(m), repeat=degree)
+            ]
+    return ideals
+
+
+def test_counting_order_starts_with_zero_and_one_and_char_is_modulus():
+    ideals = _shape_ideals()
+    assert {ideal.quotient_size for ideal in ideals} >= {4, 8, 9, 16, 25, 27, 49, 64, 125}
+    for ideal in ideals:
+        residues = enumerate_residues(ideal)
+        assert residues[0] == reduce(constant(ideal.ring, 0), ideal)
+        assert residues[1] == reduce(constant(ideal.ring, 1), ideal)
+        assert _additive_order_of_one(ideal) == ideal.modulus
+
+
 def test_fingerprint_counts():
     fp = quotient_fingerprint(cayley_table(IX2PX))
     assert (fp.size, fp.characteristic) == (4, 2)
@@ -207,16 +254,16 @@ def test_unit_classes():
 
 def test_find_prime_in_class_examples():
     target = reduce(zx((0, 1)), IX2PX)
-    assert find_prime_in_class(IX2PX, target) == zx((0, 1))
+    assert next(find_primes_in_class(IX2PX, target), None) == zx((0, 1))
     target = reduce(zx((1, 1)), IX2PX)
-    assert find_prime_in_class(IX2PX, target) == zx((1, 1))
+    assert next(find_primes_in_class(IX2PX, target), None) == zx((1, 1))
     target = reduce(zx((2,)), I4X)
-    assert find_prime_in_class(I4X, target) == zx((2,))
+    assert next(find_primes_in_class(I4X, target), None) == zx((2,))
 
 
 def test_find_prime_in_class_zero_class():
     target = reduce(zx((0,)), I4X)
-    found = find_prime_in_class(I4X, target)
+    found = next(find_primes_in_class(I4X, target), None)
     assert found is not None
     assert reduce(found, I4X) == target
     assert verify_prime(found)
@@ -225,7 +272,7 @@ def test_find_prime_in_class_zero_class():
 def test_find_prime_exhausted_budget():
     # no integer prime is congruent to 0 mod 4
     target = reduce(Element.integer(0), I4)
-    assert find_prime_in_class(I4, target, bound=200) is None
+    assert next(find_primes_in_class(I4, target, bound=200), None) is None
 
 
 def test_find_primes_are_verified_and_distinct():
@@ -262,4 +309,4 @@ def test_cayley_matches_reduce_products():
         table = cayley_table(ideal)
         for i, a in enumerate(table.residues):
             for j, b in enumerate(table.residues):
-                assert table.entry(i, j) == residue_mul(a, b)
+                assert table.residues[table.product[i][j]] == residue_mul(a, b)
