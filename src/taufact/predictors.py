@@ -9,10 +9,15 @@ listing the quotient's residues in sort-key order, that carries the
 model's product and sum tables onto the quotient's; a residue's role is
 the printed model residue it maps to ("0", "1", "2", "3" or "0", "1", "x",
 "x+1").  Where the model has an automorphism (F4, Z2X_X2PX), role x thus
-goes to the smaller residue.  Everything here is
-cross-validated against the enumeration oracle by the verify suites; facts
-marked ``derived`` in a profile are exactly the ones the oracle, not the
-closed form, is authoritative for.
+goes to the smaller residue.
+
+The predictors read only the census (``predict_z4`` also reads the
+element's role).  The units of Z and Z[x] are +-1, so they lie in role 1,
+or in roles 1 and 3 for Z4, on every presentation; the closed forms for
+other unit groups are left out.  Everything here is cross-validated
+against the enumeration oracle by the verify suites; facts marked
+``derived`` in a profile are exactly the ones the oracle, not the closed
+form, is authoritative for.
 
 Census conventions (k, l, m, n) per class:
 
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InternalCheckFailed, WrongIsoClass
+from .errors import InternalCheckFailed, NoWitnessPrime, WrongIsoClass
 from .poly import Poly
 from .quotient import (
     CayleyTable,
@@ -43,7 +48,6 @@ from .quotient import (
     order4_table,
     reduce,
     residue_add,
-    unit_classes,
 )
 from .rings import Element, FactoredElement, Ring, build_factored, expand
 
@@ -131,10 +135,6 @@ class Census:
     m: int
     n: int
 
-    @property
-    def total(self) -> int:
-        return self.k + self.l + self.m + self.n
-
 
 def class_census(fe: FactoredElement, ideal: Ideal, iso: IsoMap) -> Census:
     counts = {role: 0 for role in iso.roles}
@@ -192,7 +192,7 @@ def predict_z4(census: Census, a_class: str) -> PredictedProfile:
     raise ValueError(f"unknown residue role {a_class!r}")
 
 
-def predict_zx_x2p1(census: Census, unit_in_x_class: bool) -> PredictedProfile:
+def predict_zx_x2p1(census: Census) -> PredictedProfile:
     """Closed form for quotients isomorphic to Z[x]/(2, x^2+1): the x+1 class
     is the nilpotent zero-divisor and plays the role class 2 plays in Z/4Z."""
     if census.n >= 1:
@@ -201,34 +201,19 @@ def predict_zx_x2p1(census: Census, unit_in_x_class: bool) -> PredictedProfile:
         return _atomic({census.n}, derived=("atomic-guard",))
     if census.m >= 1:
         return _atomic({census.m})
-    if unit_in_x_class:
-        return _atomic({census.k + census.l})
     if census.l >= 1:
         return _atomic({census.l})
     return _atomic({census.k})
 
 
-def predict_f4(
-    census: Census,
-    unit_classes_count: int,
-    primes_in_both_xr_classes: bool,
-) -> PredictedProfile:
+def predict_f4(census: Census) -> PredictedProfile:
     """Closed form for quotients isomorphic to the field of four elements.
 
-    With units in every nonzero class the prime factorization itself
-    splits completely.  Otherwise atoms in the zero class carry exactly one
-    zero-class prime; away from the zero class, x- and x+1-class primes can
-    only annihilate in pairs, so an element using both classes is atomic
-    exactly when it uses them equally, each identity-class prime standing
-    alone.
+    Atoms in the zero class carry exactly one zero-class prime; away from
+    the zero class, x- and x+1-class primes can only annihilate in pairs,
+    so an element using both classes is atomic exactly when it uses them
+    equally, each identity-class prime standing alone.
     """
-    if unit_classes_count == 3:
-        return _atomic({census.total})
-    if not primes_in_both_xr_classes and census.m >= 1 and census.n >= 1:
-        raise ValueError(
-            "census uses both the x and x+1 classes, but the ring was "
-            "declared to have primes in only one of them"
-        )
     if census.k >= 1:
         return _atomic({census.k})
     if census.m == 0 or census.n == 0:
@@ -273,14 +258,13 @@ def sequence_element(i: int) -> FactoredElement:
 
 @dataclass
 class PredictionContext:
-    """Per-ideal facts the predictors need: the isomorphism, which roles
-    contain units of the ring, and whether bounded search finds primes in
-    both the x and x+1 classes."""
+    """An order-4 ideal with its isomorphism onto the model ring.  The
+    predictors read only an element's census (and, for Z4, its role);
+    ``bound`` limits the search for witness primes of each role."""
 
     ideal: Ideal
     iso: IsoMap
-    unit_roles: frozenset[str]
-    primes_in_both_xr: bool
+    bound: int
 
     def census(self, fe: FactoredElement) -> Census:
         return class_census(fe, self.ideal, self.iso)
@@ -294,20 +278,24 @@ class PredictionContext:
         if cls is IsoClass.Z4:
             return predict_z4(census, self.element_role(fe))
         if cls is IsoClass.Z2X_X2P1:
-            return predict_zx_x2p1(census, "x" in self.unit_roles)
+            return predict_zx_x2p1(census)
         if cls is IsoClass.F4:
-            return predict_f4(census, len(self.unit_roles), self.primes_in_both_xr)
+            return predict_f4(census)
         if cls is IsoClass.Z2X_X2PX:
             return predict_zx_x2px(census)
         raise WrongIsoClass(f"no predictor for {cls.value}")
 
+    def witnesses(self, per_role: int = 3) -> dict[str, list[Element]]:
+        """The first ``per_role`` primes below the bound in each role."""
+        pools = {}
+        for role in self.iso.roles:
+            target = self.iso.residue_of(role)
+            pool = list(itertools.islice(find_primes_in_class(self.ideal, target, self.bound), per_role))
+            if not pool:
+                raise NoWitnessPrime(f"no witness prime below bound {self.bound} in class {target}")
+            pools[role] = pool
+        return pools
+
 
 def prediction_context(ideal: Ideal, bound: int = 50) -> PredictionContext:
-    iso = build_iso_map(ideal)
-    unit_roles = frozenset(iso.role_of(u) for u in unit_classes(ideal))
-    both = iso.iso_class is not IsoClass.Z4 and all(
-        next(find_primes_in_class(ideal, iso.residue_of(role), bound), None) is not None
-        for role in ("x", "x+1")
-    )
-    return PredictionContext(ideal, iso, unit_roles, both)
-
+    return PredictionContext(ideal, build_iso_map(ideal), bound)

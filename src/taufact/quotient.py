@@ -200,15 +200,6 @@ def classify(table: CayleyTable) -> tuple[QuotientFingerprint, IsoClass]:
     return fp, cls
 
 
-def unit_classes(ideal: Ideal) -> frozenset[Residue]:
-    """Residues that contain a unit of the ring, i.e. classes of 1 and -1."""
-    if not ideal.is_finite_quotient:
-        raise InfiniteQuotient(f"quotient by ({ideal}) is not finite")
-    plus = reduce(constant(ideal.ring, 1), ideal)
-    minus = reduce(constant(ideal.ring, -1), ideal)
-    return frozenset((plus, minus))
-
-
 def find_primes_in_class(ideal: Ideal, target: Residue, bound: int = 50) -> Iterator[Element]:
     """Yield verified primes whose residue is ``target``, in deterministic
     search order, until the bounded search space is exhausted.

@@ -31,16 +31,17 @@ nowhere else; a suite passes when all of its rows are ok:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .engine import DEFAULT_BUDGET, ElasticityReport, EnumerationBudget, elasticity
-from .errors import BudgetExceeded, NoWitnessPrime
+from .errors import BudgetExceeded
 from .poly import Poly
 from .predictors import Atomicity, PredictionContext, prediction_context, sequence_element
-from .quotient import Ideal, find_primes_in_class
+from .quotient import Ideal
 from .rings import Element, FactoredElement, Ring, build_factored, is_prime_int
 
 SUITE_IDEALS = {
@@ -82,31 +83,15 @@ class SuiteReport:
         return sum(1 for c in self.cases if not c.ok)
 
 
-def _witness_pools(ctx: PredictionContext, bound: int, per_role: int = 3):
-    pools = {}
-    for role in ctx.iso.roles:
-        target = ctx.iso.residue_of(role)
-        pool = list(
-            itertools.islice(find_primes_in_class(ctx.ideal, target, bound), per_role)
-        )
-        if not pool:
-            raise NoWitnessPrime(
-                f"no witness prime below bound {bound} in class {target}"
-            )
-        pools[role] = pool
-    return pools
-
-
 def _materialize(ctx: PredictionContext, counts, pools, unit: int) -> FactoredElement:
     """Turn a per-role census into a factored element, spreading each
     role's multiplicity over that role's witness primes."""
-    tally: dict[Element, int] = {}
-    for role, count in counts.items():
-        pool = pools[role]
-        for unit_index in range(count):
-            prime = pool[unit_index % len(pool)]
-            tally[prime] = tally.get(prime, 0) + 1
-    return build_factored(ctx.ideal.ring, unit, list(tally.items()))
+    parts = [
+        (pools[role][j % len(pools[role])], 1)
+        for role, count in counts.items()
+        for j in range(count)
+    ]
+    return build_factored(ctx.ideal.ring, unit, parts)
 
 
 def _describe(atomicity: Atomicity, lengths, rho) -> str:
@@ -127,7 +112,7 @@ def run_predictor_suite(
     ideal = SUITE_IDEALS[suite]
     ctx = prediction_context(ideal, bound)
     roles = ctx.iso.roles
-    pools = _witness_pools(ctx, bound)
+    pools = ctx.witnesses()
     rng = random.Random(seed)
     report = SuiteReport(suite)
     half_factorial = suite in HALF_FACTORIAL_SUITES
@@ -291,15 +276,8 @@ def run_small_integer_survey(
 
 
 def _as_factored(combo) -> FactoredElement:
-    tally: dict[Element, int] = {}
-    for p in combo:
-        e = Element.integer(p)
-        tally[e] = tally.get(e, 0) + 1
-    return build_factored(Ring.Z, 1, list(tally.items()))
+    return build_factored(Ring.Z, 1, [(Element.integer(p), 1) for p in combo])
 
 
 def _combo_str(combo) -> str:
-    prod = 1
-    for p in combo:
-        prod *= p
-    return f"{prod} = " + "*".join(str(p) for p in combo)
+    return f"{math.prod(combo)} = " + "*".join(str(p) for p in combo)

@@ -76,3 +76,32 @@ def test_main_sequence_counts(i, factorizations, atomic):
     report = elasticity(fe, SUITE_IDEALS["lemma4"], EnumerationBudget(max_primes=60))
     assert (report.factorization_count, report.atomic_count) == (factorizations, atomic)
     assert report.atomic_lengths == frozenset(range(2, i + 1))
+
+
+@st.composite
+def presentations(draw):
+    """An ideal, a product of at most six primes, and a second presentation
+    of it: factors reordered, some negated, exponents split into chunks,
+    and the unit drawn afresh."""
+    ideal = draw(st.sampled_from(IDEALS))
+    pool = Z_PRIMES if ideal.ring is Ring.Z else ZX_PRIMES
+    primes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    plain = build_factored(ideal.ring, 1, [(p, 1) for p in primes])
+    parts = []
+    for p in draw(st.permutations(primes)):
+        if draw(st.booleans()):
+            p = -p
+        if parts and parts[-1][0] == p and draw(st.booleans()):
+            parts[-1] = (p, parts[-1][1] + 1)  # a larger chunk of the exponent
+        else:
+            parts.append((p, 1))
+    other = build_factored(ideal.ring, draw(st.sampled_from((1, -1))), parts)
+    return plain, other, ideal
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(presentations())
+def test_results_ignore_order_signs_chunks_and_unit(case):
+    plain, other, ideal = case
+    assert elasticity(other, ideal) == elasticity(plain, ideal)
+    assert is_tau_atom(other, ideal) == is_tau_atom(plain, ideal)

@@ -5,7 +5,7 @@ import pytest
 
 from taufact import predictors, quotient
 from taufact.engine import elasticity
-from taufact.errors import InternalCheckFailed, NotOrderFour
+from taufact.errors import InternalCheckFailed, NoWitnessPrime, NotOrderFour
 from taufact.poly import Poly
 from taufact.predictors import (
     Atomicity,
@@ -19,8 +19,8 @@ from taufact.predictors import (
     prediction_context,
     sequence_element,
 )
-from taufact.quotient import Ideal, IsoClass, enumerate_residues, reduce, unit_classes
-from taufact.rings import Element, Ring, build_factored, expand
+from taufact.quotient import Ideal, IsoClass, enumerate_residues, reduce
+from taufact.rings import Element, Ring, build_factored, constant, expand
 
 I4 = Ideal(Ring.Z, 4)
 I4X = Ideal(Ring.ZX, 4, Poly.x())
@@ -95,45 +95,39 @@ def test_predict_z4():
 
 
 def test_predict_zx_x2p1():
-    profile = predict_zx_x2p1(Census(2, 1, 0, 0), unit_in_x_class=False)
+    profile = predict_zx_x2p1(Census(2, 1, 0, 0))
     assert profile.lengths == {1}
 
-    profile = predict_zx_x2p1(Census(1, 1, 0, 0), unit_in_x_class=True)
-    assert profile.lengths == {2}
-
-    profile = predict_zx_x2p1(Census(0, 0, 2, 1), unit_in_x_class=False)
+    profile = predict_zx_x2p1(Census(0, 0, 2, 1))
     assert profile.atomicity is Atomicity.NOT_ATOMIC
 
-    profile = predict_zx_x2p1(Census(1, 2, 0, 3), unit_in_x_class=False)
+    profile = predict_zx_x2p1(Census(1, 2, 0, 3))
     assert profile.lengths == {3}
 
-    profile = predict_zx_x2p1(Census(4, 0, 0, 0), unit_in_x_class=False)
+    profile = predict_zx_x2p1(Census(4, 0, 0, 0))
     assert profile.lengths == {4}
 
 
 def test_predict_f4():
-    profile = predict_f4(Census(0, 0, 2, 2), 1, True)
+    profile = predict_f4(Census(0, 0, 2, 2))
     assert profile.lengths == {2}
 
-    profile = predict_f4(Census(0, 3, 2, 1), 1, True)
+    profile = predict_f4(Census(0, 3, 2, 1))
     assert profile.atomicity is Atomicity.NOT_ATOMIC
 
-    profile = predict_f4(Census(2, 1, 1, 0), 1, True)
+    profile = predict_f4(Census(2, 1, 1, 0))
     assert profile.lengths == {2}
 
     # identity-class primes stand alone next to the x/x+1 pairs
-    profile = predict_f4(Census(0, 1, 1, 1), 1, True)
+    profile = predict_f4(Census(0, 1, 1, 1))
     assert profile.lengths == {2}
 
     # one-sided censuses are atomic even though m != n
-    profile = predict_f4(Census(0, 1, 1, 0), 1, True)
+    profile = predict_f4(Census(0, 1, 1, 0))
     assert profile.atomicity is Atomicity.ATOMIC and profile.lengths == {1}
 
-    profile = predict_f4(Census(0, 0, 3, 0), 1, False)
+    profile = predict_f4(Census(0, 0, 3, 0))
     assert profile.lengths == {3}
-
-    profile = predict_f4(Census(1, 2, 2, 2), 3, True)
-    assert profile.lengths == {7}
 
 
 def test_predict_zx_x2px():
@@ -168,12 +162,30 @@ def test_sequence_element():
 
 def test_prediction_context_facts():
     ctx = prediction_context(IX2PX)
-    assert ctx.unit_roles == frozenset({"1"})
-    assert ctx.primes_in_both_xr
+    assert (ctx.iso.iso_class, ctx.bound) == (IsoClass.Z2X_X2PX, 50)
+    pools = ctx.witnesses()
+    assert pools["x"][0] == X and pools["x+1"][0] == XP1
 
-    ctx = prediction_context(IX2PX1)
-    assert len(ctx.unit_roles) == 1
-    assert ctx.primes_in_both_xr
+    ctx = prediction_context(IX2PX1, 20)
+    pools = ctx.witnesses(per_role=2)
+    assert list(pools) == list(ctx.iso.roles)
+    for role, pool in pools.items():
+        assert len(pool) == 2
+        assert all(ctx.iso.role_of(reduce(p, IX2PX1)) == role for p in pool)
+
+
+def test_f4_prediction_needs_no_prime_search():
+    """At bound 0 the F4 ideal has roles with no witness below the bound;
+    the prediction for x(x+1) must still match the oracle."""
+    ctx = prediction_context(IX2PX1, 0)
+    with pytest.raises(NoWitnessPrime, match="below bound 0"):
+        ctx.witnesses()
+    fe = build_factored(Ring.ZX, 1, [(X, 1), (XP1, 1)])
+    profile = ctx.predict(fe)
+    report = elasticity(fe, IX2PX1)
+    assert (profile.atomicity is Atomicity.ATOMIC) == report.is_atomic
+    assert profile.lengths == report.atomic_lengths == {1}
+    assert profile.elasticity == report.elasticity
 
 
 def test_context_predicts_sequence_profile():
@@ -195,8 +207,8 @@ def test_context_predicts_z4_census():
 )
 def test_unit_classes_map_into_roles(ideal):
     iso = build_iso_map(ideal)
-    for u in unit_classes(ideal):
-        assert iso.role_of(u) in iso.roles
+    units = {iso.role_of(reduce(constant(ideal.ring, u), ideal)) for u in (1, -1)}
+    assert units == ({"1", "3"} if iso.iso_class is IsoClass.Z4 else {"1"})
 
 
 @pytest.mark.parametrize("ideal", [I4X, IX2P1, IX2PX1, IX2PX])
@@ -204,14 +216,8 @@ def test_predictor_agrees_with_oracle_exhaustively_small(ideal):
     """Every census with at most 6 primes, one witness prime per role."""
     import itertools
 
-    from taufact.quotient import find_primes_in_class
-
     ctx = prediction_context(ideal)
-    witnesses = {
-        role: next(find_primes_in_class(ideal, ctx.iso.residue_of(role), 50), None)
-        for role in ctx.iso.roles
-    }
-    assert all(w is not None for w in witnesses.values())
+    witnesses = {role: pool[0] for role, pool in ctx.witnesses(per_role=1).items()}
     roles = list(ctx.iso.roles)
     for counts in itertools.product(range(7), repeat=4):
         if not 1 <= sum(counts) <= 6:
@@ -271,6 +277,20 @@ def iso_map_lines():
 def test_iso_maps_match_golden():
     golden = Path(__file__).parent / "goldens" / "iso_maps.txt"
     assert iso_map_lines() == golden.read_text().splitlines()
+
+
+def test_presentation_facts_the_predictors_rely_on():
+    """Over Z and Z[x] the units are +-1: 1 has role 1 and -1 has role 1,
+    or 3 in the Z4 class, on every presentation; outside Z4 both the x and
+    the x+1 role hold primes below bound 50."""
+    for ideal in ISO_CORPUS:
+        ctx = prediction_context(ideal)
+        role = {u: ctx.iso.role_of(reduce(constant(ideal.ring, u), ideal)) for u in (1, -1)}
+        assert role[1] == "1", ideal
+        assert role[-1] == ("3" if ctx.iso.iso_class is IsoClass.Z4 else "1"), ideal
+        if ctx.iso.iso_class is not IsoClass.Z4:
+            pools = ctx.witnesses()
+            assert pools["x"] and pools["x+1"], ideal
 
 
 def test_counting_order_is_sort_key_order_on_every_order_four_ideal():

@@ -3,7 +3,7 @@ import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from taufact.errors import InfiniteQuotient, NonMonicGenerator, NotOrderFour, RingMismatch
 from taufact.poly import Poly
@@ -20,7 +20,6 @@ from taufact.quotient import (
     reduce,
     residue_add,
     residue_mul,
-    unit_classes,
 )
 from taufact.rings import Element, Ring, constant, verify_prime
 
@@ -247,9 +246,13 @@ def test_fingerprint_counts():
 
 
 def test_unit_classes():
-    assert {str(r) for r in unit_classes(IX2PX)} == {"1"}
-    assert {r.rep for r in unit_classes(I3)} == {1, 2}
-    assert {r.rep for r in unit_classes(I4)} == {1, 3}
+    # The units of Z and Z[x] are 1 and -1; these are their residues.
+    def unit_reps(ideal):
+        return {str(reduce(constant(ideal.ring, u), ideal)) for u in (1, -1)}
+
+    assert unit_reps(IX2PX) == {"1"}
+    assert unit_reps(I3) == {"1", "2"}
+    assert unit_reps(I4) == {"1", "3"}
 
 
 def test_find_prime_in_class_examples():
@@ -302,6 +305,22 @@ def test_reduce_is_multiplicative_zx(ca, cb):
     a, b = zx(ca), zx(cb)
     ra, rb = reduce(a, IX2PX), reduce(b, IX2PX)
     assert reduce(a * b, IX2PX) == residue_mul(ra, rb)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([Ideal(Ring.Z, m) for m in range(2, 13)] + [I4X, IX2P1, IX2PX1, IX2PX]),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.lists(st.integers(-9, 9), max_size=4),
+)
+def test_reduce_is_a_ring_homomorphism(ideal, ca, cb):
+    if ideal.ring is Ring.Z:  # the value at x = 1
+        a, b = Element.integer(sum(ca)), Element.integer(sum(cb))
+    else:
+        a, b = zx(ca), zx(cb)
+    ra, rb = reduce(a, ideal), reduce(b, ideal)
+    assert reduce(Element(ideal.ring, a.value + b.value), ideal) == residue_add(ra, rb)
+    assert reduce(a * b, ideal) == residue_mul(ra, rb)
 
 
 def test_cayley_matches_reduce_products():

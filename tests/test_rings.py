@@ -167,3 +167,27 @@ def test_expand_matches_raw_product(parts, unit):
         raw *= base**exp
     fe = build_factored(Z, unit, [(Element.integer(b), e) for b, e in parts])
     assert expand(fe) == Element.integer(raw)
+
+
+def test_verify_prime_agrees_with_sympy_up_to_degree_three():
+    """A primitive polynomial is prime in Z[x] exactly when it is
+    irreducible over Q, which is what ``sympy.factor_list`` decides."""
+    import itertools
+    import math
+
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    checked = 0
+    for degree in (1, 2, 3):
+        for lower in itertools.product(range(-2, 3), repeat=degree):
+            for lead in (-2, -1, 1, 2):
+                coeffs = (*lower, lead)
+                if math.gcd(*coeffs) != 1:
+                    continue
+                expr = sum(c * x**i for i, c in enumerate(coeffs))
+                _, factors = sympy.factor_list(expr)
+                irreducible = len(factors) == 1 and factors[0][1] == 1
+                elem = Element.polynomial(Poly(coeffs))
+                assert verify_prime(elem) == irreducible, coeffs
+                checked += 1
+    assert checked > 500
