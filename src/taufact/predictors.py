@@ -38,7 +38,6 @@ from typing import Optional
 from .errors import InternalCheckFailed, NoWitnessPrime, WrongIsoClass
 from .poly import Poly
 from .quotient import (
-    CayleyTable,
     Ideal,
     IsoClass,
     Residue,
@@ -47,7 +46,6 @@ from .quotient import (
     find_primes_in_class,
     order4_table,
     reduce,
-    residue_add,
 )
 from .rings import Element, FactoredElement, Ring, build_factored, expand
 
@@ -88,19 +86,8 @@ class IsoMap:
         return _CENSUS_ROLES[self.iso_class]
 
 
-def _tables(table: CayleyTable) -> tuple[tuple[int, ...], ...]:
-    """Product and sum tables as indices into ``table.residues``, row-major."""
-    residues = table.residues
-    index = {r: i for i, r in enumerate(residues)}
-    return (
-        tuple(k for row in table.product for k in row),
-        tuple(index[residue_add(a, b)] for a in residues for b in residues),
-    )
-
-
 # The model rings never change, so their tables are built once, at import.
 _MODELS = {cls: cayley_table(ideal) for cls, ideal in CANONICAL_IDEALS.items()}
-_MODEL_TABLES = {cls: _tables(model) for cls, model in _MODELS.items()}
 
 
 def build_iso_map(ideal: Ideal) -> IsoMap:
@@ -113,15 +100,14 @@ def build_iso_map(ideal: Ideal) -> IsoMap:
     _, cls = classify(table)
     if cls not in _MODELS:
         raise WrongIsoClass(f"cannot build an isomorphism for {cls.value}")
-    ours, model = table.residues, _MODELS[cls].residues
-    our_tables, model_tables = _tables(table), _MODEL_TABLES[cls]
+    model = _MODELS[cls]
     for image in itertools.permutations(range(4)):  # model index -> our index
         if all(
-            image[theirs[4 * i + j]] == mine[4 * image[i] + image[j]]
-            for mine, theirs in zip(our_tables, model_tables)
+            image[theirs[i][j]] == mine[image[i]][image[j]]
+            for mine, theirs in ((table.product, model.product), (table.sum, model.sum))
             for i, j in itertools.product(range(4), repeat=2)
         ):
-            return IsoMap(cls, {ours[image[i]]: str(m) for i, m in enumerate(model)})
+            return IsoMap(cls, {table.residues[image[i]]: str(r) for i, r in enumerate(model.residues)})
     raise InternalCheckFailed(f"no bijection carries the tables of ({ideal}) onto {cls.value}")
 
 

@@ -9,10 +9,13 @@ residues, which is enough to build the full Cayley table.
 
 ``cayley_table`` is the one place that computes the structure of a finite
 quotient: residues in counting order (zero and one first) and the product
-table as indices into them.  Order-4 quotients are classified by cheap
-fingerprint counts read off that table (the characteristic, which is the
-modulus m, squares equal to zero or to themselves, and invertibility),
-which separate the four isomorphism classes without any isomorphism search.
+and sum tables as indices into them.  Residue i has the base-m digits of i
+as its coefficients, constant term lowest, so both tables come from the
+Z/m-linear structure by index arithmetic, without residue arithmetic.
+Order-4 quotients are classified by cheap fingerprint counts read off the
+product table (the characteristic, which is the modulus m, squares equal to
+zero or to themselves, and invertibility), which separate the four
+isomorphism classes without any isomorphism search.
 """
 
 from __future__ import annotations
@@ -102,12 +105,6 @@ def residue_mul(a: Residue, b: Residue) -> Residue:
     return reduce(Element(a.ideal.ring, a.rep * b.rep), a.ideal)
 
 
-def residue_add(a: Residue, b: Residue) -> Residue:
-    if a.ideal != b.ideal:
-        raise RingMismatch("residues belong to different ideals")
-    return reduce(Element(a.ideal.ring, a.rep + b.rep), a.ideal)
-
-
 def enumerate_residues(ideal: Ideal) -> tuple[Residue, ...]:
     """All canonical residues in deterministic counting order: the lowest
     coefficient varies fastest, so zero and one come first."""
@@ -127,16 +124,38 @@ class CayleyTable:
     ideal: Ideal
     residues: tuple[Residue, ...]
     product: tuple[tuple[int, ...], ...]
+    sum: tuple[tuple[int, ...], ...]
 
 
 def cayley_table(ideal: Ideal) -> CayleyTable:
+    """Residues in counting order, with the product and sum tables as
+    indices into them.
+
+    Residue i of (Z/m)[x]/(g), g monic of degree d, has the d base-m digits
+    of i as its coefficients, constant term lowest; Z/m is the case g = x.
+    A sum is the digit-wise sum mod m.  Multiplication by a is Z/m-linear,
+    so row a lists c_0*a + c_1*(a*x) + ... + c_{d-1}*(a*x^(d-1)) for every
+    index with digits c_0, c_1, ..., built from the sum table."""
     residues = enumerate_residues(ideal)
-    index = {r: i for i, r in enumerate(residues)}
-    rows = tuple(
-        tuple(index[residue_mul(a, b)] for b in residues)
-        for a in residues
-    )
-    return CayleyTable(ideal, residues, rows)
+    m = ideal.modulus
+    low = ideal.generator.coeffs[:-1] if ideal.generator is not None else (0,)
+    weights = [m**k for k in range(len(low))]
+    sums = []
+    for a in range(len(residues)):
+        row = [0]
+        for w in weights:
+            row = [(a // w + c) % m * w + u for c in range(m) for u in row]
+        sums.append(tuple(row))
+    products = []
+    for a in range(len(residues)):
+        row, image = [0], [a // w % m for w in weights]  # digits of a*x^j
+        for _ in weights:
+            multiples = [sum(c * e % m * w for e, w in zip(image, weights)) for c in range(m)]
+            row = [sums[s][u] for s in multiples for u in row]
+            # times x: shift one place up, then subtract top * g
+            image = [((image[k - 1] if k else 0) - image[-1] * g) % m for k, g in enumerate(low)]
+        products.append(tuple(row))
+    return CayleyTable(ideal, residues, tuple(products), tuple(sums))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from taufact import quotient, verify
+from taufact import cli, quotient, verify
 from taufact.cli import main
 from taufact.engine import ElasticityReport
 
@@ -299,17 +299,22 @@ def test_budget_below_one_is_a_usage_error(runner, args, budget):
 
 
 def test_classify_builds_one_product_table(runner, monkeypatch):
-    real = quotient.residue_mul
-    calls = []
+    calls = {"cayley_table": 0, "residue_mul": 0}
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(quotient, "residue_mul", counting)
-    result = run(runner, "classify", "--ideal", "3, x^2+1")
-    assert result.exit_code == 0
-    assert len(calls) == 81  # one product per cell of the 9 x 9 table
+    monkeypatch.setattr(cli, "cayley_table", counting("cayley_table", cli.cayley_table))
+    monkeypatch.setattr(quotient, "residue_mul", counting("residue_mul", quotient.residue_mul))
+    for ideal in ("3, x^2+1", "5, x^3+x+1"):
+        calls.update(cayley_table=0, residue_mul=0)
+        result = run(runner, "classify", "--ideal", ideal)
+        assert result.exit_code == 0
+        # The table is built by index arithmetic: no residue is multiplied.
+        assert calls == {"cayley_table": 1, "residue_mul": 0}
 
 
 def test_round_trip_of_printed_forms(runner):

@@ -77,6 +77,10 @@ CASES = {
         for name, args in CLASSIFY.items()
         for fmt, suffix in (("text", ""), ("csv", "_csv"), ("json", "_json"))
     },
+    # The largest orders of the benchmark's classify plan: the field of
+    # order 125, and an order-64 ring with zero divisors and nilpotents.
+    "classify_125_csv": ("csv", ("classify", "--ideal", "5, x^3-3*x^2-x+2")),
+    "classify_64_zd": ("text", ("classify", "--ideal", "4, x^3-3*x^2-4*x")),
 }
 
 

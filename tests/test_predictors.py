@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -301,34 +302,40 @@ def test_counting_order_is_sort_key_order_on_every_order_four_ideal():
 
 
 def test_iso_search_multiplies_each_residue_pair_once(monkeypatch):
-    calls = {"residue_mul": 0, "residue_add": 0}
+    """Each product and sum is computed once, in the quotient's one table,
+    by index arithmetic: no residue is multiplied or added."""
+    calls = {"cayley_table": 0, "residue_mul": 0}
     for name in calls:
         real = getattr(quotient, name)
 
-        def counting(a, b, real=real, name=name):
+        def counting(*args, real=real, name=name):
             calls[name] += 1
-            return real(a, b)
+            return real(*args)
 
         # Patched wherever the iso search could look the name up.
         for module in (quotient, predictors):
             monkeypatch.setattr(module, name, counting, raising=False)
     build_iso_map(Ideal(Ring.ZX, 2, Poly((0, 1, 1))))
-    assert calls == {"residue_mul": 16, "residue_add": 16}
+    assert calls == {"cayley_table": 1, "residue_mul": 0}
+    assert not hasattr(quotient, "residue_add") and not hasattr(predictors, "residue_add")
 
 
 def test_iso_map_rejects_tables_that_do_not_transport(monkeypatch):
     # The quotient is equal to, but not the same object as, the model ring
     # of its class, so only its own sum table is corrupted: x + (x+1) -> 0.
     ideal = Ideal(Ring.ZX, 2, Poly((0, 1, 1)))
-    real = predictors.residue_add
+    real = predictors.order4_table
 
-    def corrupted(a, b):
-        total = real(a, b)
-        if a.ideal is ideal and {a.rep, b.rep} == {Poly.x(), Poly((1, 1))}:
-            return reduce(zx(()), ideal)
-        return total
+    def corrupted(target):
+        table = real(target)
+        if target is not ideal:
+            return table
+        x, x1 = (table.residues.index(reduce(p, ideal)) for p in (X, zx((1, 1))))
+        rows = [list(row) for row in table.sum]
+        rows[x][x1] = 0
+        return replace(table, sum=tuple(map(tuple, rows)))
 
-    monkeypatch.setattr(predictors, "residue_add", corrupted)
+    monkeypatch.setattr(predictors, "order4_table", corrupted)
     with pytest.raises(InternalCheckFailed):
         build_iso_map(ideal)
     # An equal ideal that is another object still maps: the model is intact.

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from taufact.quotient import (
     find_primes_in_class,
     quotient_fingerprint,
     reduce,
-    residue_add,
     residue_mul,
 )
 from taufact.rings import Element, Ring, constant, verify_prime
@@ -198,7 +198,7 @@ def _additive_order_of_one(ideal):
     zero = reduce(constant(ideal.ring, 0), ideal)
     order, acc = 1, one
     while acc != zero:
-        acc = residue_add(acc, one)
+        acc = reduce(Element(ideal.ring, acc.rep + one.rep), ideal)
         order += 1
         assert order <= ideal.quotient_size
     return order
@@ -307,6 +307,9 @@ def test_reduce_is_multiplicative_zx(ca, cb):
     assert reduce(a * b, IX2PX) == residue_mul(ra, rb)
 
 
+_cached_table = functools.lru_cache(maxsize=32)(cayley_table)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     st.sampled_from([Ideal(Ring.Z, m) for m in range(2, 13)] + [I4X, IX2P1, IX2PX1, IX2PX]),
@@ -319,13 +322,39 @@ def test_reduce_is_a_ring_homomorphism(ideal, ca, cb):
     else:
         a, b = zx(ca), zx(cb)
     ra, rb = reduce(a, ideal), reduce(b, ideal)
-    assert reduce(Element(ideal.ring, a.value + b.value), ideal) == residue_add(ra, rb)
+    table = _cached_table(ideal)
+    i, j = table.residues.index(ra), table.residues.index(rb)
+    assert reduce(Element(ideal.ring, a.value + b.value), ideal) == table.residues[table.sum[i][j]]
     assert reduce(a * b, ideal) == residue_mul(ra, rb)
 
 
+def _check_cells(table, cells):
+    """Product and sum cells against ``reduce`` of the product and the sum
+    of the two residues' representatives, taken as elements of the ring."""
+    ideal, residues = table.ideal, table.residues
+    elements = [Element(ideal.ring, r.rep) for r in residues]
+    for i, j in cells:
+        a, b = elements[i], elements[j]
+        assert residues[table.product[i][j]] == reduce(a * b, ideal)
+        assert residues[table.sum[i][j]] == reduce(Element(ideal.ring, a.value + b.value), ideal)
+
+
 def test_cayley_matches_reduce_products():
-    for ideal in (I4, IX2P1, IX2PX1, IX2PX):
+    """Every cell of both tables, on every shape ideal of order <= 27."""
+    small = [ideal for ideal in _shape_ideals() if ideal.quotient_size <= 27]
+    assert {ideal.quotient_size for ideal in small} >= {2, 4, 8, 9, 16, 25, 27}
+    for ideal in small:
         table = cayley_table(ideal)
-        for i, a in enumerate(table.residues):
-            for j, b in enumerate(table.residues):
-                assert table.residues[table.product[i][j]] == residue_mul(a, b)
+        _check_cells(table, itertools.product(range(len(table.residues)), repeat=2))
+
+
+_LARGE_SHAPE_IDEALS = [ideal for ideal in _shape_ideals() if ideal.quotient_size > 27]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_LARGE_SHAPE_IDEALS), st.data())
+def test_cayley_matches_reduce_on_sampled_cells_of_large_orders(ideal, data):
+    """Sampled cells of both tables on the shape ideals of order > 27
+    (Z/28..Z/30 and orders 49, 64 and 125)."""
+    cell = st.integers(0, ideal.quotient_size - 1)
+    _check_cells(_cached_table(ideal), data.draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=8)))
