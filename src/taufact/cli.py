@@ -29,7 +29,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .engine import EnumerationBudget, atom_test, elasticity, enumerate_tau_factorizations
+from .engine import EnumerationBudget, elasticity, enumerate_tau_factorizations
 from .errors import TaufactError, UnsupportedDegree
 from .quotient import Ideal, cayley_table, classify, reduce
 from .rings import Ring, build_factored, expand, load_registry
@@ -203,18 +203,16 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget):
     """Every tau-factorization of a factored element, with sign witnesses
     and per-block atom flags."""
     inputs, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
-    is_atom = atom_test(fe, ideal, budget)
     payload = []
     for tf in enumerate_tau_factorizations(fe, ideal, budget):
-        flags = [is_atom(block) for block in tf.blocks]
         payload.append(
             {
                 "lambda": tf.lam,
                 "blocks": [str(expand(b)) for b in tf.blocks],
                 "signs": list(tf.signs),
                 "length": tf.length,
-                "blocks_atomic": flags,
-                "atomic": all(flags),
+                "blocks_atomic": list(tf.atomic),
+                "atomic": all(tf.atomic),
             }
         )
     result = {"count": len(payload), "factorizations": payload}

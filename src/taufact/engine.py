@@ -19,6 +19,9 @@ reproducible.
 Only residues steer the search, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
 residue; no block product is expanded until a yielded partition is sorted.
+The listing first runs the counting kernel below in the same context, which
+fills the caches the search reads; the kernel's counts flag each block as a
+tau-atom or not, and its count of the whole must equal the listing's length.
 
 Counts need no listing.  For each sign class K, a knapsack over the
 sub-vectors of class K counts the multisets of them summing to each
@@ -36,9 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
-from typing import Callable, Optional
+from typing import Optional
 
-from .errors import BudgetExceeded, RingMismatch, ZeroOrUnitInput
+from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
 from .quotient import Ideal, Residue, reduce, residue_mul
 from .rings import Element, FactoredElement, expand
@@ -52,7 +55,8 @@ class EnumerationBudget:
     ``max_partitions`` caps steps: for the kernel, the (part, target) pairs
     of one knapsack pass, prod C(v_i + 2, 2) - prod (v_i + 1) for a vector
     v, checked before any work; for the enumerator, candidate blocks
-    examined, whether or not they end up in a yielded partition.
+    examined, whether or not they end up in a yielded partition.  A listing
+    applies the kernel's cap first, then the enumerator's.
     """
 
     max_primes: int = 14
@@ -64,21 +68,19 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 @dataclass(frozen=True)
 class TauFactorization:
-    """One factorization: unit lambda, canonically ordered blocks, and a
-    sign witness proving pairwise congruence of the signed blocks."""
+    """One factorization: unit lambda, canonically ordered blocks, a sign
+    witness proving pairwise congruence of the signed blocks, and whether
+    each block is a tau-atom.  The listing fills ``atomic``; a hand-built
+    factorization carries no flags."""
 
     lam: int
     blocks: tuple[FactoredElement, ...]
     signs: tuple[int, ...]
+    atomic: tuple[bool, ...] = ()
 
     @property
     def length(self) -> int:
         return len(self.blocks)
-
-    def __str__(self) -> str:
-        inner = ", ".join(str(expand(b)) for b in self.blocks)
-        signs = ",".join("+" if s > 0 else "-" for s in self.signs)
-        return f"lambda={self.lam:+d} blocks=[{inner}] signs=[{signs}]"
 
 
 @dataclass(frozen=True)
@@ -200,9 +202,10 @@ def enumerate_tau_factorizations(
     fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> list[TauFactorization]:
     """Every tau-factorization of fe, deduplicated up to block order and
-    associates, in canonical (length, blocks) order.  Includes the trivial
-    length-1 factorization."""
+    associates, in canonical (length, blocks) order, with per-block atom
+    flags.  Includes the trivial length-1 factorization."""
     ctx = _Context(fe, ideal, budget)
+    total = ctx.pass1()[1]
     sort_keys: dict = {}  # blocks recur across partitions
     found = []
     for partition in vector_partitions(ctx.vector, ctx.sign_class, budget.max_partitions):
@@ -213,32 +216,24 @@ def enumerate_tau_factorizations(
         parts = sorted(partition, key=sort_keys.__getitem__)
         lead = ctx.residue(parts[0])
         signs = tuple(1 if ctx.residue(p) == lead else -1 for p in parts)
-        lam = fe.unit
-        for s in signs:
-            lam *= s
+        lam = fe.unit * prod(signs)
         blocks = tuple(ctx.block(p) for p in parts)
+        atomic = tuple(total[ctx.pack(p)] == 1 for p in parts)
         key = (len(parts), tuple(sort_keys[p] for p in parts))
-        found.append((key, TauFactorization(lam, blocks, signs)))
+        found.append((key, TauFactorization(lam, blocks, signs, atomic)))
     found.sort(key=lambda item: item[0])
+    counted = total[ctx.pack(ctx.vector)]
+    if len(found) != counted:
+        raise InternalCheckFailed(f"listed {len(found)} tau-factorizations, the kernel counts {counted}")
     return [tf for _, tf in found]
-
-
-def atom_test(
-    fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> Callable[[FactoredElement], bool]:
-    """A test of tau-atomhood for every block built from fe's primes, such
-    as the blocks of fe's factorizations, decided by one kernel pass."""
-    ctx = _Context(fe, ideal, budget)
-    total = ctx.pass1()[1]
-    shift = dict(zip(ctx.primes, ctx.shifts))
-    return lambda block: total[sum(m << shift[p] for p, m in block.factors)] == 1
 
 
 def is_tau_atom(
     fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> bool:
     """True iff fe admits no tau-factorization with two or more blocks."""
-    return atom_test(fe, ideal, budget)(fe)
+    ctx = _Context(fe, ideal, budget)
+    return ctx.pass1()[1][ctx.pack(ctx.vector)] == 1
 
 
 def elasticity(

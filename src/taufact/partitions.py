@@ -18,24 +18,10 @@ lex-smaller part could not cover it; only such parts are generated.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Hashable, Iterator, Optional
 
 from .errors import BudgetExceeded
-
-
-class _Budget:
-    """Counts candidate parts examined by one enumeration."""
-
-    __slots__ = ("cap", "examined")
-
-    def __init__(self, cap: Optional[int]):
-        self.cap = cap
-        self.examined = 0
-
-    def charge(self) -> None:
-        self.examined += 1
-        if self.cap is not None and self.examined > self.cap:
-            raise BudgetExceeded(f"partition budget of {self.cap} exhausted")
 
 
 def vector_partitions(
@@ -51,22 +37,23 @@ def vector_partitions(
     """
     if not vector or not any(vector):
         raise ValueError("vector must have positive total multiplicity")
-    yield from _partitions(vector, vector, [], None, key, _Budget(max_partitions))
+    yield from _partitions(vector, vector, [], None, key, count(1), max_partitions)
 
 
-def _partitions(remaining, bound, acc, target, key, budget):
+def _partitions(remaining, bound, acc, target, key, examined, cap):
     if not any(remaining):
         yield tuple(acc)
         return
     for part in _parts_descending(remaining, bound):
-        budget.charge()
+        if cap is not None and next(examined) > cap:
+            raise BudgetExceeded(f"partition budget of {cap} exhausted")
         part_key = key(part)
         if acc and part_key != target:
             continue
         acc.append(part)
         yield from _partitions(
             tuple(r - p for r, p in zip(remaining, part)),
-            part, acc, part_key, key, budget,
+            part, acc, part_key, key, examined, cap,
         )
         acc.pop()
 

@@ -271,12 +271,12 @@ class PredictionContext:
             return predict_zx_x2px(census)
         raise WrongIsoClass(f"no predictor for {cls.value}")
 
-    def witnesses(self, per_role: int = 3) -> dict[str, list[Element]]:
-        """The first ``per_role`` primes below the bound in each role."""
+    def witnesses(self) -> dict[str, list[Element]]:
+        """The first three primes below the bound in each role."""
         pools = {}
         for role in self.iso.roles:
             target = self.iso.residue_of(role)
-            pool = list(itertools.islice(find_primes_in_class(self.ideal, target, self.bound), per_role))
+            pool = list(itertools.islice(find_primes_in_class(self.ideal, target, self.bound), 3))
             if not pool:
                 raise NoWitnessPrime(f"no witness prime below bound {self.bound} in class {target}")
             pools[role] = pool

@@ -218,23 +218,31 @@ def load_registry(path: str) -> frozenset:
     shared text syntax; blank lines and #-comments are skipped.
 
     Only primitive polynomials of degree >= 4 may be listed; an entry that
-    ``verify_prime`` decides itself raises ParseError naming its line.
+    ``verify_prime`` decides itself, or that does not parse, raises
+    ParseError naming its line, and an unreadable file one naming the path.
     """
     from .syntax import parse_poly
 
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read registry {path!r}: {exc}") from exc
     entries = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
             p = parse_poly(line)
-            if p.degree <= 3 or p.content != 1:
-                raise ParseError(
-                    f"registry line {lineno}: {line!r} is not a primitive polynomial "
-                    "of degree >= 4; its primality is decided without the registry"
-                )
-            if p.leading_coefficient < 0:
-                p = -p
-            entries.add(p)
+        except ParseError as exc:
+            raise ParseError(f"registry line {lineno}: {exc}") from exc
+        if p.degree <= 3 or p.content != 1:
+            raise ParseError(
+                f"registry line {lineno}: {line!r} is not a primitive polynomial "
+                "of degree >= 4; its primality is decided without the registry"
+            )
+        if p.leading_coefficient < 0:
+            p = -p
+        entries.add(p)
     return frozenset(entries)

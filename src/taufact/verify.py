@@ -6,12 +6,12 @@ require the predictor's atomicity verdict, length set, and elasticity to
 match the enumeration oracle exactly.  Cases the predictor declines
 (no-closed-form) still run the oracle and are reported separately.
 
-The integer survey walks every product of at most ``max_primes`` primes
-below ``prime_bound``.  Because blocks enter factorizations only through
-their residues and primes sharing a residue class are interchangeable, the
-atomic-length set of a product depends only on the multiset of prime
-residues; the survey therefore runs the oracle once per residue census and
-maps every product onto its census.  A seeded random sample of products is
+The integer survey walks every product of at most six primes below 50.
+Because blocks enter factorizations only through their residues and primes
+sharing a residue class are interchangeable, the atomic-length set of a
+product depends only on the multiset of prime residues; the survey
+therefore runs the oracle once per residue census and maps every product
+onto its census.  A seeded random sample of 120 products per modulus is
 re-run directly against the oracle to cross-check that reduction.
 
 Every row a suite returns carries its own verdict ``ok``, decided here and
@@ -56,6 +56,7 @@ HALF_FACTORIAL_SUITES = ("lemma1", "lemma2", "lemma3")
 # Moduli whose survey must find elasticity exactly 1; any other modulus
 # must stay at or below 2.
 HALF_FACTORIAL_MODULI = (1, 2, 3)
+SURVEY_MODULI = (1, 2, 3, 12, 18)
 
 
 @dataclass
@@ -107,7 +108,6 @@ def run_predictor_suite(
     seed: int = 0,
     budget: EnumerationBudget = DEFAULT_BUDGET,
     bound: int = 50,
-    max_total: int = 8,
 ) -> SuiteReport:
     ideal = SUITE_IDEALS[suite]
     ctx = prediction_context(ideal, bound)
@@ -116,7 +116,7 @@ def run_predictor_suite(
     rng = random.Random(seed)
     report = SuiteReport(suite)
     half_factorial = suite in HALF_FACTORIAL_SUITES
-    max_total = max(1, min(max_total, budget.max_primes))
+    max_total = max(1, min(8, budget.max_primes))
 
     for _ in range(samples):
         total = rng.randint(1, max_total)
@@ -208,21 +208,16 @@ class SurveyResult:
 
 
 def run_small_integer_survey(
-    moduli=(1, 2, 3, 12, 18),
-    max_primes: int = 6,
-    prime_bound: int = 50,
-    sample: int = 120,
-    seed: int = 0,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
+    seed: int = 0, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> dict[int, SurveyResult]:
-    primes = [p for p in range(2, prime_bound) if is_prime_int(p)]
+    primes = [p for p in range(2, 50) if is_prime_int(p)]
     multisets = [
         combo
-        for size in range(1, max_primes + 1)
+        for size in range(1, 7)
         for combo in itertools.combinations_with_replacement(primes, size)
     ]
     results = {}
-    for modulus in moduli:
+    for modulus in SURVEY_MODULI:
         ideal = Ideal(Ring.Z, modulus)
         cache: dict[tuple[int, ...], ElasticityReport] = {}
         best: Optional[Fraction] = None
@@ -247,7 +242,7 @@ def run_small_integer_survey(
 
         rng = random.Random(seed)
         failures = 0
-        picks = rng.sample(multisets, min(sample, len(multisets)))
+        picks = rng.sample(multisets, min(120, len(multisets)))
         for combo in picks:
             key = tuple(sorted(p % modulus for p in combo))
             direct = elasticity(_as_factored(combo), ideal, budget)

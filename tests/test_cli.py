@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from taufact import cli, quotient, verify
+from taufact import cli, engine, quotient, verify
 from taufact.cli import main
 from taufact.engine import ElasticityReport
 
@@ -133,6 +133,25 @@ def test_factorizations_listing(runner):
     by_blocks = {tuple(row["blocks"]): row for row in payload["factorizations"]}
     assert by_blocks[("4", "7")]["blocks_atomic"] == [False, True]
     assert by_blocks[("2", "14")]["blocks_atomic"] == [True, False]
+
+
+def test_factorizations_builds_one_context(runner, monkeypatch):
+    built = []
+
+    class Counting(engine._Context):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "_Context", Counting)
+    for fmt in ("text", "csv", "json"):
+        built.clear()
+        result = run(
+            runner, "factorizations", "--ideal", "2, x^2+x", "--primes", "x:3, x+1:3",
+            "--format", fmt,
+        )
+        assert result.exit_code == 0
+        assert len(built) == 1
 
 
 def test_factorizations_text_golden(runner):

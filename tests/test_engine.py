@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from taufact import engine
 from taufact.engine import (
     EnumerationBudget,
     elasticity,
     enumerate_tau_factorizations,
     is_tau_atom,
 )
-from taufact.errors import BudgetExceeded, RingMismatch, ZeroOrUnitInput
+from taufact.errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from taufact.poly import Poly
 from taufact.quotient import Ideal
 from taufact.rings import Element, FactoredElement, Ring, build_factored, expand
@@ -52,8 +53,13 @@ def test_28_mod_3_factorizations():
     fe = z_factored((2, 2), (7, 1))
     facs = enumerate_tau_factorizations(fe, I3)
     assert [tf.length for tf in facs] == [1, 2, 2, 3]
-    multisets = {tuple(str(v) for v in block_values(tf)) for tf in facs}
-    assert multisets == {("28",), ("4", "7"), ("2", "14"), ("2", "2", "7")}
+    flags = {tuple(str(v) for v in block_values(tf)): tf.atomic for tf in facs}
+    assert flags == {
+        ("28",): (False,),
+        ("4", "7"): (False, True),
+        ("2", "14"): (True, False),
+        ("2", "2", "7"): (True, True, True),
+    }
     three = [tf for tf in facs if tf.length == 3][0]
     assert three.signs == (1, 1, -1)
     assert three.lam == -1
@@ -152,6 +158,37 @@ def test_budget_guards():
                 z_factored((2, 3), (3, 3)), I3, EnumerationBudget(max_partitions=3)
             )
         )
+
+
+def test_listing_applies_the_kernel_cap_before_listing(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the listing started over the kernel cap")
+
+    monkeypatch.setattr(engine, "vector_partitions", unreachable)
+    # v = (4, 4): 200 kernel steps, as in test_kernel_budget_boundary.
+    with pytest.raises(BudgetExceeded, match="^200 kernel steps exceed the budget of 199$"):
+        enumerate_tau_factorizations(seq(4), IX2PX, EnumerationBudget(max_partitions=199))
+
+
+def test_listing_candidate_cap_fires_above_the_kernel_cap():
+    # 2^8 modulo 1: 36 kernel steps, 66 candidate blocks, 22 factorizations.
+    fe, ideal = z_factored((2, 8)), Ideal(Ring.Z, 1)
+    assert len(enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=66))) == 22
+    assert not is_tau_atom(fe, ideal, EnumerationBudget(max_partitions=36))
+    for cap in (36, 65):
+        with pytest.raises(BudgetExceeded, match=f"^partition budget of {cap} exhausted$"):
+            enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=cap))
+
+
+def test_listing_that_drops_a_partition_fails_its_count_check(monkeypatch):
+    real = engine.vector_partitions
+
+    def drop_last(*args):
+        return list(real(*args))[:-1]
+
+    monkeypatch.setattr(engine, "vector_partitions", drop_last)
+    with pytest.raises(InternalCheckFailed, match="listed 3 tau-factorizations, the kernel counts 4"):
+        enumerate_tau_factorizations(z_factored((2, 2), (7, 1)), I3)
 
 
 def test_budget_outcome_independent_of_earlier_calls():

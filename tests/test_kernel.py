@@ -1,21 +1,23 @@
 """The counting kernel against the listing enumerator.
 
-``elasticity``, ``is_tau_atom`` and ``atom_test`` count with a per-class
-knapsack over sub-vectors of the prime multiplicity vector, while
-``enumerate_tau_factorizations`` lists multiset partitions.  The two share
-only the residue arithmetic, so their agreement checks both.
+``elasticity``, ``is_tau_atom`` and the listing's per-block atom flags
+count with a per-class knapsack over sub-vectors of the prime multiplicity
+vector, while ``enumerate_tau_factorizations`` lists multiset partitions.
+The two share only the residue arithmetic, so their agreement checks both;
+here each block's flag is checked against a listing of the block itself.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from taufact.engine import (
+    DEFAULT_BUDGET,
     EnumerationBudget,
-    atom_test,
     elasticity,
     enumerate_tau_factorizations,
     is_tau_atom,
 )
+from taufact.errors import BudgetExceeded
 from taufact.poly import Poly
 from taufact.quotient import Ideal
 from taufact.rings import Element, Ring, build_factored
@@ -59,8 +61,7 @@ def test_kernel_counts_what_the_enumerator_lists(case):
         for tf in listed
         for block in tf.blocks
     }
-    is_atom = atom_test(fe, ideal)
-    assert {block: is_atom(block) for block in single} == single
+    assert all(tf.atomic == tuple(single[b] for b in tf.blocks) for tf in listed)
     atomic = [tf for tf in listed if all(single[b] for b in tf.blocks)]
     assert report.atomic_count == len(atomic)
     assert report.atomic_lengths == frozenset(tf.length for tf in atomic)
@@ -105,3 +106,33 @@ def test_results_ignore_order_signs_chunks_and_unit(case):
     plain, other, ideal = case
     assert elasticity(other, ideal) == elasticity(plain, ideal)
     assert is_tau_atom(other, ideal) == is_tau_atom(plain, ideal)
+
+
+def outcome(decide, fe, ideal, budget):
+    """The result of one call, or the message of the budget it exceeded."""
+    try:
+        return decide(fe, ideal, budget)
+    except BudgetExceeded as exc:
+        return f"BudgetExceeded: {exc}"
+
+
+DECIDERS = (enumerate_tau_factorizations, is_tau_atom, elasticity)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(censuses(), censuses(), st.integers(3, 14), st.integers(1, 800))
+# 2^8 mod 1 takes 36 kernel steps, so a cap of 36 stops only its listing;
+# 2^4 3^4 mod 1 takes 200, so a cap of 199 stops its kernel.
+@example((z_element(*[2] * 8), Ideal(Ring.Z, 1)), (z_element(3), Ideal(Ring.Z, 5)), 8, 36)
+@example((z_element(2, 2, 2, 2, 3, 3, 3, 3), Ideal(Ring.Z, 1)), (z_element(3), Ideal(Ring.Z, 5)), 8, 199)
+def test_budget_outcome_carries_over_nothing(case, other, max_primes, max_partitions):
+    """Under one budget, each entry point gives the same result or the same
+    BudgetExceeded cold, after unrelated calls, and on a repeat."""
+    fe, ideal = case
+    budget = EnumerationBudget(max_primes, max_partitions)
+    for decide in DECIDERS:
+        cold = outcome(decide, fe, ideal, budget)
+        for unrelated in DECIDERS:
+            outcome(unrelated, *other, DEFAULT_BUDGET)
+        assert outcome(decide, fe, ideal, budget) == cold
+        assert outcome(decide, fe, ideal, budget) == cold

@@ -168,7 +168,7 @@ def test_prediction_context_facts():
     assert pools["x"][0] == X and pools["x+1"][0] == XP1
 
     ctx = prediction_context(IX2PX1, 20)
-    pools = ctx.witnesses(per_role=2)
+    pools = {role: pool[:2] for role, pool in ctx.witnesses().items()}
     assert list(pools) == list(ctx.iso.roles)
     for role, pool in pools.items():
         assert len(pool) == 2
@@ -218,7 +218,7 @@ def test_predictor_agrees_with_oracle_exhaustively_small(ideal):
     import itertools
 
     ctx = prediction_context(ideal)
-    witnesses = {role: pool[0] for role, pool in ctx.witnesses(per_role=1).items()}
+    witnesses = {role: pool[0] for role, pool in ctx.witnesses().items()}
     roles = list(ctx.iso.roles)
     for counts in itertools.product(range(7), repeat=4):
         if not 1 <= sum(counts) <= 6:
