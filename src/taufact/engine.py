@@ -10,18 +10,18 @@ and unique factorization keeps distinct partitions distinct.
 
 The units of Z and Z[x] are 1 and -1, so a partition admits signs exactly
 when every block lies in one class {r, -r} of residues up to sign.  The
-enumeration therefore generates only partitions whose blocks share that
-class, and every partition it yields is a tau-factorization.  The witness
+enumeration therefore lists, class by class, the partitions into blocks of
+one class, and every partition it yields is a tau-factorization.  The witness
 signs a block +1 when its residue equals the first block's residue and -1
 otherwise; the enumerator sorts blocks first, so the witness is
 reproducible.
 
-Only residues steer the search, so each prime is reduced once and a
+Only residues decide the classes, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
 residue; no block product is expanded until a yielded partition is sorted.
-The listing first runs the counting kernel below in the same context, which
-fills the caches the search reads; the kernel's counts flag each block as a
-tau-atom or not, and its count of the whole must equal the listing's length.
+The listing runs the counting kernel below first and walks the sub-vectors
+it grouped by class; the kernel's counts flag each block as a tau-atom or
+not, and its count of the whole must equal the listing's length.
 
 Counts need no listing.  For each sign class K, a knapsack over the
 sub-vectors of class K counts the multisets of them summing to each
@@ -54,9 +54,10 @@ class EnumerationBudget:
     ``max_primes`` caps the total prime multiplicity of the input.
     ``max_partitions`` caps steps: for the kernel, the (part, target) pairs
     of one knapsack pass, prod C(v_i + 2, 2) - prod (v_i + 1) for a vector
-    v, checked before any work; for the enumerator, candidate blocks
-    examined, whether or not they end up in a yielded partition.  A listing
-    applies the kernel's cap first, then the enumerator's.
+    v, checked before any work; for the enumerator, the blocks it examines
+    over all classes, fitting or not: those that hold the first prime left
+    and are no larger than the previous block.  A listing applies the
+    kernel's cap first, then the enumerator's.
     """
 
     max_primes: int = 14
@@ -205,10 +206,10 @@ def enumerate_tau_factorizations(
     associates, in canonical (length, blocks) order, with per-block atom
     flags.  Includes the trivial length-1 factorization."""
     ctx = _Context(fe, ideal, budget)
-    total = ctx.pass1()[1]
+    groups, total = ctx.pass1()
     sort_keys: dict = {}  # blocks recur across partitions
     found = []
-    for partition in vector_partitions(ctx.vector, ctx.sign_class, budget.max_partitions):
+    for partition in vector_partitions(ctx.vector, groups, budget.max_partitions):
         for p in partition:
             if p not in sort_keys:
                 sort_keys[p] = expand(ctx.block(p)).sort_key

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import InfiniteQuotient, NonMonicGenerator, NotOrderFour, RingMismatch
+from .errors import BudgetExceeded, InfiniteQuotient, NonMonicGenerator, NotOrderFour, RingMismatch
 from .poly import Poly, divmod_monic
 from .rings import Element, Ring, constant, is_prime_int, verify_prime
 
@@ -105,18 +105,7 @@ def residue_mul(a: Residue, b: Residue) -> Residue:
     return reduce(Element(a.ideal.ring, a.rep * b.rep), a.ideal)
 
 
-def enumerate_residues(ideal: Ideal) -> tuple[Residue, ...]:
-    """All canonical residues in deterministic counting order: the lowest
-    coefficient varies fastest, so zero and one come first."""
-    if not ideal.is_finite_quotient:
-        raise InfiniteQuotient(f"cannot enumerate residues of ({ideal})")
-    m = ideal.modulus
-    if ideal.ring is Ring.Z:
-        return tuple(Residue(ideal, n) for n in range(m))
-    return tuple(
-        Residue(ideal, Poly(digits[::-1]))
-        for digits in itertools.product(range(m), repeat=ideal.generator.degree)
-    )
+MAX_TABLE_CELLS = 5_000_000  # as many as the default kernel step budget
 
 
 @dataclass(frozen=True)
@@ -129,25 +118,32 @@ class CayleyTable:
 
 def cayley_table(ideal: Ideal) -> CayleyTable:
     """Residues in counting order, with the product and sum tables as
-    indices into them.
+    indices into them.  A quotient of order n is refused, before anything
+    is built, when its n * n cells exceed ``MAX_TABLE_CELLS``.
 
     Residue i of (Z/m)[x]/(g), g monic of degree d, has the d base-m digits
     of i as its coefficients, constant term lowest; Z/m is the case g = x.
     A sum is the digit-wise sum mod m.  Multiplication by a is Z/m-linear,
     so row a lists c_0*a + c_1*(a*x) + ... + c_{d-1}*(a*x^(d-1)) for every
     index with digits c_0, c_1, ..., built from the sum table."""
-    residues = enumerate_residues(ideal)
+    n = ideal.quotient_size
+    if n * n > MAX_TABLE_CELLS:
+        raise BudgetExceeded(f"{n * n} table cells exceed the budget of {MAX_TABLE_CELLS}")
     m = ideal.modulus
     low = ideal.generator.coeffs[:-1] if ideal.generator is not None else (0,)
     weights = [m**k for k in range(len(low))]
+    if ideal.ring is Ring.Z:
+        residues = tuple(Residue(ideal, i) for i in range(n))
+    else:
+        residues = tuple(Residue(ideal, Poly(tuple(i // w % m for w in weights))) for i in range(n))
     sums = []
-    for a in range(len(residues)):
+    for a in range(n):
         row = [0]
         for w in weights:
             row = [(a // w + c) % m * w + u for c in range(m) for u in row]
         sums.append(tuple(row))
     products = []
-    for a in range(len(residues)):
+    for a in range(n):
         row, image = [0], [a // w % m for w in weights]  # digits of a*x^j
         for _ in weights:
             multiples = [sum(c * e % m * w for e, w in zip(image, weights)) for c in range(m)]

@@ -336,6 +336,21 @@ def test_classify_builds_one_product_table(runner, monkeypatch):
         assert calls == {"cayley_table": 1, "residue_mul": 0}
 
 
+def test_classify_refuses_a_table_over_the_cell_bound(runner, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a residue was built over the cell bound")
+
+    monkeypatch.setattr(quotient, "Residue", unreachable)
+    # 2237 is the least order whose table exceeds the bound.
+    assert 2236**2 <= quotient.MAX_TABLE_CELLS < 2237**2
+    for ideal in ("2237", "7, x^6+1"):
+        result = run(runner, "classify", "--ideal", ideal)
+        assert result.exit_code == 1
+        error = json.loads(result.output)
+        assert error["error"] == "budget_exceeded"
+        assert error["detail"].endswith("table cells exceed the budget of 5000000")
+
+
 def test_round_trip_of_printed_forms(runner):
     result = run(
         runner, "elasticity", "--ring", "zx", "--ideal", "2, x^2+x",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,8 +12,9 @@ BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 INTEGER_PARTITIONS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
 
 
-def same_key(part):
-    return 0
+def one_class(vector):
+    """Every nonzero sub-vector of ``vector``, as a single class."""
+    return [[p for p in itertools.product(*(range(e + 1) for e in vector)) if any(p)]]
 
 
 def item_partitions(items):
@@ -20,7 +22,7 @@ def item_partitions(items):
     with every part expanded back into a tuple of items."""
     distinct = sorted(set(items))
     vector = tuple(items.count(item) for item in distinct)
-    for parts in vector_partitions(vector, same_key):
+    for parts in vector_partitions(vector, one_class(vector), None):
         yield tuple(
             tuple(item for item, mult in zip(distinct, part) for _ in range(mult))
             for part in parts
@@ -28,7 +30,7 @@ def item_partitions(items):
 
 
 def test_example_aab():
-    assert list(vector_partitions((2, 1), same_key)) == [
+    assert list(vector_partitions((2, 1), one_class((2, 1)), None)) == [
         ((2, 1),),
         ((2, 0), (0, 1)),
         ((1, 1), (1, 0)),
@@ -37,17 +39,17 @@ def test_example_aab():
 
 
 def test_single_item():
-    assert list(vector_partitions((1,), same_key)) == [((1,),)]
+    assert list(vector_partitions((1,), one_class((1,)), None)) == [((1,),)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_distinct_items_count_is_bell(n):
-    assert sum(1 for _ in vector_partitions((1,) * n, same_key)) == BELL[n]
+    assert sum(1 for _ in vector_partitions((1,) * n, one_class((1,) * n), None)) == BELL[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_identical_items_count_is_integer_partitions(n):
-    assert sum(1 for _ in vector_partitions((n,), same_key)) == INTEGER_PARTITIONS[n]
+    assert sum(1 for _ in vector_partitions((n,), one_class((n,)), None)) == INTEGER_PARTITIONS[n]
 
 
 @pytest.mark.parametrize(
@@ -74,7 +76,7 @@ def test_matches_naive_enumeration(items):
 
 def test_no_duplicate_partitions():
     seen = set()
-    for partition in vector_partitions((2, 2, 1), same_key):
+    for partition in vector_partitions((2, 2, 1), one_class((2, 2, 1)), None):
         canon = tuple(sorted(partition))
         assert canon not in seen
         seen.add(canon)
@@ -89,24 +91,24 @@ def test_every_partition_covers_the_multiset():
 
 
 def test_deterministic_order():
-    first = list(vector_partitions((2, 2), same_key))
-    second = list(vector_partitions((2, 2), same_key))
+    first = list(vector_partitions((2, 2), one_class((2, 2)), None))
+    second = list(vector_partitions((2, 2), one_class((2, 2)), None))
     assert first == second
 
 
 def test_trivial_partition_comes_first():
-    partitions = vector_partitions((1, 2, 1), same_key)
+    partitions = vector_partitions((1, 2, 1), one_class((1, 2, 1)), None)
     assert next(iter(partitions)) == ((1, 2, 1),)
 
 
 def test_leading_zero_coordinates():
-    assert list(vector_partitions((0, 1, 1), same_key)) == [
+    assert list(vector_partitions((0, 1, 1), one_class((0, 1, 1)), None)) == [
         ((0, 1, 1),),
         ((0, 1, 0), (0, 0, 1)),
     ]
 
 
-def test_key_keeps_exactly_the_one_key_partitions():
+def test_classes_keep_exactly_the_one_class_partitions():
     rng = random.Random(3)
     for _ in range(60):
         vector = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
@@ -117,43 +119,68 @@ def test_key_keeps_exactly_the_one_key_partitions():
         def key(part):
             return sum((i + 2) * p for i, p in enumerate(part)) % modulus
 
-        everything = vector_partitions(vector, same_key)
+        classes: dict = {}
+        for part in one_class(vector)[0]:
+            classes.setdefault(key(part), []).append(part)
+        everything = vector_partitions(vector, one_class(vector), None)
         expected = [ps for ps in everything if len({key(p) for p in ps}) == 1]
-        assert list(vector_partitions(vector, key)) == expected
+        listed = list(vector_partitions(vector, list(classes.values()), None))
+        assert sorted(listed) == sorted(expected)
+        for k in classes:
+            within = [ps for ps in listed if key(ps[0]) == k]
+            assert within == sorted(within, reverse=True)
 
 
 def test_budget_enforced():
     with pytest.raises(BudgetExceeded):
-        list(vector_partitions((1,) * 6, same_key, max_partitions=10))
+        list(vector_partitions((1,) * 6, one_class((1,) * 6), 10))
 
 
 def test_budget_counts_parts_examined_not_partitions_yielded():
-    # Every part has its own key: only the trivial partition is yielded, yet
-    # the search examines every candidate part, one key call each.
-    examined = []
-
-    def unique_key(part):
-        examined.append(part)
-        return part
-
-    assert list(vector_partitions((1,) * 5, unique_key)) == [((1,) * 5,)]
-    cap = len(examined)
+    # Every part is its own class: only the trivial partition is yielded, yet
+    # the search examines once each part that holds the first coordinate.
+    vector = (1,) * 5
+    singletons = [[part] for part in one_class(vector)[0]]
+    assert list(vector_partitions(vector, singletons, None)) == [(vector,)]
+    cap = sum(1 for [part] in singletons if part[0])
     assert cap > 1
-    assert len(list(vector_partitions((1,) * 5, unique_key, max_partitions=cap))) == 1
+    assert len(list(vector_partitions(vector, singletons, cap))) == 1
     with pytest.raises(BudgetExceeded):
-        list(vector_partitions((1,) * 5, unique_key, max_partitions=cap - 1))
+        list(vector_partitions(vector, singletons, cap - 1))
+
+
+def _candidates_examined(vector, classes):
+    cap = 1
+    while True:
+        try:
+            list(vector_partitions(vector, classes, cap))
+            return cap
+        except BudgetExceeded:
+            cap += 1
+
+
+def test_budget_is_shared_across_classes():
+    # Each class alone stays under the cap; the two together exceed it.
+    vector = (2, 2)
+    parts = one_class(vector)[0]
+    classes = [[p for p in parts if sum(p) % 2], [p for p in parts if not sum(p) % 2]]
+    alone = [_candidates_examined(vector, [parts]) for parts in classes]
+    cap = max(alone)
+    assert cap < sum(alone)
+    with pytest.raises(BudgetExceeded):
+        list(vector_partitions(vector, classes, cap))
 
 
 def test_budget_is_lazy():
-    gen = vector_partitions((1,) * 6, same_key, max_partitions=10)
+    gen = vector_partitions((1,) * 6, one_class((1,) * 6), 10)
     yielded = []
     with pytest.raises(BudgetExceeded):
         for partition in gen:
             yielded.append(partition)
     assert 0 < len(yielded) < BELL[6]
-    assert yielded == list(vector_partitions((1,) * 6, same_key))[: len(yielded)]
+    assert yielded == list(vector_partitions((1,) * 6, one_class((1,) * 6), None))[: len(yielded)]
 
 
 def test_vector_partitions_rejects_empty():
     with pytest.raises(ValueError):
-        list(vector_partitions((0, 0), same_key))
+        list(vector_partitions((0, 0), one_class((0, 0)), None))

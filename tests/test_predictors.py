@@ -20,7 +20,7 @@ from taufact.predictors import (
     prediction_context,
     sequence_element,
 )
-from taufact.quotient import Ideal, IsoClass, enumerate_residues, reduce
+from taufact.quotient import Ideal, IsoClass, cayley_table, reduce
 from taufact.rings import Element, Ring, build_factored, constant, expand
 
 I4 = Ideal(Ring.Z, 4)
@@ -270,7 +270,7 @@ def iso_map_lines():
     lines = []
     for ideal in ISO_CORPUS:
         iso = build_iso_map(ideal)
-        roles = " ".join(f"{r}->{iso.role_of(r)}" for r in enumerate_residues(ideal))
+        roles = " ".join(f"{r}->{iso.role_of(r)}" for r in cayley_table(ideal).residues)
         lines.append(f"{ideal} | {iso.iso_class.value} | {roles}")
     return lines
 
@@ -297,7 +297,7 @@ def test_presentation_facts_the_predictors_rely_on():
 def test_counting_order_is_sort_key_order_on_every_order_four_ideal():
     assert len(ISO_CORPUS) == 95
     for ideal in ISO_CORPUS:
-        residues = list(enumerate_residues(ideal))
+        residues = list(cayley_table(ideal).residues)
         assert sorted(residues, key=lambda r: Element(ideal.ring, r.rep).sort_key) == residues
 
 
