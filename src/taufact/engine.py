@@ -55,9 +55,9 @@ class EnumerationBudget:
     ``max_partitions`` caps steps: for the kernel, the (part, target) pairs
     of one knapsack pass, prod C(v_i + 2, 2) - prod (v_i + 1) for a vector
     v, checked before any work; for the enumerator, the blocks it examines
-    over all classes, fitting or not: those that hold the first prime left
-    and are no larger than the previous block.  A listing applies the
-    kernel's cap first, then the enumerator's.
+    over all classes: those of the class being walked that fit in what is
+    left, hold its first prime and are no larger than the previous block.
+    A listing applies the kernel's cap first, then the enumerator's.
     """
 
     max_primes: int = 14

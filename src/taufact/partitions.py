@@ -11,7 +11,8 @@ Enumeration is depth first (Knuth, TAOCP 4A, 7.2.1.5): choose the
 lex-largest part that fits in what remains and is no larger than the
 previous part, recurse on what is left.  Every part must contain the first
 nonzero coordinate of what remains, since a later, lex-smaller part could
-not cover it; so a class indexes its parts by first nonzero coordinate.
+not cover it.  A class keeps a trie of its parts per first nonzero
+coordinate; the search reaches only parts meeting all three conditions.
 """
 
 from __future__ import annotations
@@ -32,35 +33,48 @@ def vector_partitions(
 
     ``max_partitions`` caps the candidate parts examined over all classes,
     not the partitions yielded, so a search that finds nothing stops as
-    well; None means no cap.
+    well; None means no cap.  A candidate is a part of the class being
+    walked that fits in what remains, holds its first nonzero coordinate
+    and is no larger than the previous part.
     """
     if not vector or not any(vector):
         raise ValueError("vector must have positive total multiplicity")
     examined = count(1)
     for parts in classes:
-        by_lead: dict = {}
+        tries: dict = {}  # by first nonzero coordinate; children descend
         for part in sorted(parts, reverse=True):
-            by_lead.setdefault(_lead(part), []).append(part)
-        yield from _partitions(vector, None, 0, [], by_lead, examined, max_partitions)
+            lead = next(i for i, d in enumerate(part) if d)
+            node = tries.setdefault(lead, {})
+            for d in part[lead:-1]:
+                node = node.setdefault(d, {})
+            node[part[-1]] = part
+        yield from _partitions(vector, vector, [], tries, examined, max_partitions)
 
 
-def _lead(vector) -> int:
-    return next(i for i, mult in enumerate(vector) if mult)
-
-
-def _partitions(remaining, prev_lead, prev, acc, by_lead, examined, cap):
+def _partitions(remaining, bound, acc, tries, examined, cap):
     if not any(remaining):
         yield tuple(acc)
         return
-    lead = _lead(remaining)
-    candidates = by_lead.get(lead, ())
-    # A previous part with an earlier lead is lex-larger than all candidates.
-    for i in range(prev if lead == prev_lead else 0, len(candidates)):
+    lead = next(i for i, r in enumerate(remaining) if r)
+    trie, tight = tries.get(lead, {}), not any(bound[:lead])
+    for part in _candidates(trie, remaining, bound, lead, tight, []):
         if cap is not None and next(examined) > cap:
             raise BudgetExceeded(f"partition budget of {cap} exhausted")
-        part = candidates[i]
-        if all(p <= r for p, r in zip(part, remaining)):
-            acc.append(part)
-            rest = tuple(r - p for r, p in zip(remaining, part))
-            yield from _partitions(rest, lead, i, acc, by_lead, examined, cap)
-            acc.pop()
+        acc.append(part)
+        rest = tuple(r - p for r, p in zip(remaining, part))
+        yield from _partitions(rest, part, acc, tries, examined, cap)
+        acc.pop()
+
+
+def _candidates(node, remaining, bound, i, tight, out):
+    """Append to ``out`` the parts below trie ``node``, at coordinate ``i``,
+    that fit in ``remaining`` and are lexicographically at most ``bound``,
+    in descending order; ``tight`` says the digits so far equal ``bound``'s."""
+    hi = min(remaining[i], bound[i]) if tight else remaining[i]
+    for d, child in node.items():
+        if d <= hi:
+            if i + 1 == len(remaining):
+                out.append(child)
+            else:
+                _candidates(child, remaining, bound, i + 1, tight and d == bound[i], out)
+    return out

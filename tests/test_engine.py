@@ -171,11 +171,11 @@ def test_listing_applies_the_kernel_cap_before_listing(monkeypatch):
 
 
 def test_listing_candidate_cap_fires_above_the_kernel_cap():
-    # 2^8 modulo 1: 36 kernel steps, 83 candidate blocks, 22 factorizations.
+    # 2^8 modulo 1: 36 kernel steps, 66 candidate blocks, 22 factorizations.
     fe, ideal = z_factored((2, 8)), Ideal(Ring.Z, 1)
-    assert len(enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=83))) == 22
+    assert len(enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=66))) == 22
     assert not is_tau_atom(fe, ideal, EnumerationBudget(max_partitions=36))
-    for cap in (36, 82):
+    for cap in (36, 65):
         with pytest.raises(BudgetExceeded, match=f"^partition budget of {cap} exhausted$"):
             enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=cap))
 

@@ -171,6 +171,20 @@ def test_budget_is_shared_across_classes():
         list(vector_partitions(vector, classes, cap))
 
 
+def test_budget_counts_only_parts_that_fit():
+    # Ten distinct items in one class: the candidates are the sub-vectors of
+    # what remains that hold its first item and are no larger than the
+    # previous part, 231,949 for the Bell(10) = 115,975 partitions.  Parts
+    # of the class that do not fit in what remains are neither walked nor
+    # counted.
+    vector = (1,) * 10
+    classes = one_class(vector)
+    assert sum(1 for _ in vector_partitions(vector, classes, 231_949)) == 115_975
+    with pytest.raises(BudgetExceeded):
+        for _ in vector_partitions(vector, classes, 231_948):
+            pass
+
+
 def test_budget_is_lazy():
     gen = vector_partitions((1,) * 6, one_class((1,) * 6), 10)
     yielded = []
