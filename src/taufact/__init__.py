@@ -3,9 +3,11 @@
 A tau-factorization of a nonzero nonunit a is a = lambda * b1 * ... * bk
 with lambda a unit and all bi pairwise congruent modulo a fixed ideal.
 This package enumerates them exhaustively from exact factored inputs,
-decides tau-atomhood, computes exact elasticity (max over min atomic
-length), classifies the order-4 quotients of Z and Z[x], and evaluates
-closed-form predictions per quotient class against the enumeration oracle.
+computes exact elasticity (max over min atomic length), decides
+tau-atomhood (an element is a tau-atom when ``elasticity`` counts one
+factorization), classifies the order-4 quotients of Z and Z[x], and
+evaluates closed-form predictions per quotient class against the
+enumeration oracle.
 """
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .engine import EnumerationBudget, elasticity, enumerate_tau_factorizations
+from .engine import DEFAULT_BUDGET, EnumerationBudget, elasticity, enumerate_tau_factorizations
 from .errors import TaufactError, UnsupportedDegree
 from .quotient import Ideal, cayley_table, classify, reduce
 from .rings import Ring, build_factored, expand, load_registry
@@ -131,7 +131,7 @@ def _csv(records, columns) -> list[str]:
 
 ring_option = click.option("--ring", type=click.Choice(["z", "zx"]), default=None, help="Ambient ring (inferred from the ideal when omitted).")
 budget_option = click.option(
-    "--budget", type=click.IntRange(min=1), default=14, show_default=True,
+    "--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET.max_primes, show_default=True,
     help="Cap on total prime multiplicity.",
     callback=lambda ctx, param, value: EnumerationBudget(max_primes=value),
 )

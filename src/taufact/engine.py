@@ -229,14 +229,6 @@ def enumerate_tau_factorizations(
     return [tf for _, tf in found]
 
 
-def is_tau_atom(
-    fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> bool:
-    """True iff fe admits no tau-factorization with two or more blocks."""
-    ctx = _Context(fe, ideal, budget)
-    return ctx.pass1()[1][ctx.pack(ctx.vector)] == 1
-
-
 def elasticity(
     fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> ElasticityReport:

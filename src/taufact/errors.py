@@ -55,10 +55,6 @@ class NotOrderFour(TaufactError):
     code = "not_order_four"
 
 
-class WrongIsoClass(TaufactError):
-    code = "wrong_iso_class"
-
-
 class InternalCheckFailed(TaufactError):
     code = "internal_check_failed"
 

@@ -4,7 +4,8 @@ Each of the four order-4 quotient classes admits closed forms for which
 elements are tau-atomic and which atomic-factorization lengths occur, as a
 function of the prime-class census of the element.  This module maps the
 quotient onto the model ring of its class, counts primes per residue role,
-and evaluates the closed forms.  The map is the first of the 24 bijections,
+and evaluates the closed forms.  The map is the one that decides the
+class, ``quotient.model_bijection``: the first of the 24 bijections,
 listing the quotient's residues in sort-key order, that carries the
 model's product and sum tables onto the quotient's; a residue's role is
 the printed model residue it maps to ("0", "1", "2", "3" or "0", "1", "x",
@@ -35,26 +36,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InternalCheckFailed, NoWitnessPrime, WrongIsoClass
+from .errors import InternalCheckFailed, NoWitnessPrime, NotOrderFour
 from .poly import Poly
 from .quotient import (
-    Ideal,
-    IsoClass,
-    Residue,
-    cayley_table,
-    classify,
-    find_primes_in_class,
-    order4_table,
-    reduce,
+    MODELS, Ideal, IsoClass, Residue, cayley_table, find_primes_in_class, model_bijection, reduce,
 )
 from .rings import Element, FactoredElement, Ring, build_factored, expand
-
-CANONICAL_IDEALS = {
-    IsoClass.Z4: Ideal(Ring.Z, 4),
-    IsoClass.Z2X_X2P1: Ideal(Ring.ZX, 2, Poly((1, 0, 1))),
-    IsoClass.F4: Ideal(Ring.ZX, 2, Poly((1, 1, 1))),
-    IsoClass.Z2X_X2PX: Ideal(Ring.ZX, 2, Poly((0, 1, 1))),
-}
 
 _CENSUS_ROLES = {
     IsoClass.Z4: ("1", "2", "3", "0"),
@@ -86,29 +73,18 @@ class IsoMap:
         return _CENSUS_ROLES[self.iso_class]
 
 
-# The model rings never change, so their tables are built once, at import.
-_MODELS = {cls: cayley_table(ideal) for cls, ideal in CANONICAL_IDEALS.items()}
-
-
 def build_iso_map(ideal: Ideal) -> IsoMap:
-    """The isomorphism onto the model ring of the quotient's class: the
-    first bijection, in sort-key order of the quotient's residues, that
-    carries the model's product and sum tables onto the quotient's.  The
-    role of a residue is the printed form of its model residue.  On order
-    4 the counting order of residues is their sort-key order."""
-    table = order4_table(ideal)
-    _, cls = classify(table)
-    if cls not in _MODELS:
-        raise WrongIsoClass(f"cannot build an isomorphism for {cls.value}")
-    model = _MODELS[cls]
-    for image in itertools.permutations(range(4)):  # model index -> our index
-        if all(
-            image[theirs[i][j]] == mine[image[i]][image[j]]
-            for mine, theirs in ((table.product, model.product), (table.sum, model.sum))
-            for i, j in itertools.product(range(4), repeat=2)
-        ):
-            return IsoMap(cls, {table.residues[image[i]]: str(r) for i, r in enumerate(model.residues)})
-    raise InternalCheckFailed(f"no bijection carries the tables of ({ideal}) onto {cls.value}")
+    """The isomorphism onto the model ring of the quotient's class, as
+    ``model_bijection`` finds it.  The role of a residue is the printed
+    form of its model residue.  On order 4 the counting order of residues
+    is their sort-key order."""
+    if not ideal.is_finite_quotient or ideal.quotient_size != 4:
+        raise NotOrderFour(f"quotient by ({ideal}) does not have order 4")
+    table = cayley_table(ideal)
+    cls, image = model_bijection(table)
+    if cls is IsoClass.OTHER:
+        raise InternalCheckFailed(f"no model ring's tables carry onto those of ({ideal})")
+    return IsoMap(cls, {table.residues[image[i]]: str(r) for i, r in enumerate(MODELS[cls].residues)})
 
 
 @dataclass(frozen=True)
@@ -120,13 +96,6 @@ class Census:
     l: int
     m: int
     n: int
-
-
-def class_census(fe: FactoredElement, ideal: Ideal, iso: IsoMap) -> Census:
-    counts = {role: 0 for role in iso.roles}
-    for prime, exp in fe.factors:
-        counts[iso.role_of(reduce(prime, ideal))] += exp
-    return Census(*counts.values())
 
 
 class Atomicity(enum.Enum):
@@ -253,23 +222,21 @@ class PredictionContext:
     bound: int
 
     def census(self, fe: FactoredElement) -> Census:
-        return class_census(fe, self.ideal, self.iso)
-
-    def element_role(self, fe: FactoredElement) -> str:
-        return self.iso.role_of(reduce(expand(fe), self.ideal))
+        counts = {role: 0 for role in self.iso.roles}
+        for prime, exp in fe.factors:
+            counts[self.iso.role_of(reduce(prime, self.ideal))] += exp
+        return Census(*counts.values())
 
     def predict(self, fe: FactoredElement) -> PredictedProfile:
         census = self.census(fe)
         cls = self.iso.iso_class
         if cls is IsoClass.Z4:
-            return predict_z4(census, self.element_role(fe))
+            return predict_z4(census, self.iso.role_of(reduce(expand(fe), self.ideal)))
         if cls is IsoClass.Z2X_X2P1:
             return predict_zx_x2p1(census)
         if cls is IsoClass.F4:
             return predict_f4(census)
-        if cls is IsoClass.Z2X_X2PX:
-            return predict_zx_x2px(census)
-        raise WrongIsoClass(f"no predictor for {cls.value}")
+        return predict_zx_x2px(census)
 
     def witnesses(self) -> dict[str, list[Element]]:
         """The first three primes below the bound in each role."""

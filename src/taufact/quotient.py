@@ -12,10 +12,11 @@ quotient: residues in counting order (zero and one first) and the product
 and sum tables as indices into them.  Residue i has the base-m digits of i
 as its coefficients, constant term lowest, so both tables come from the
 Z/m-linear structure by index arithmetic, without residue arithmetic.
-Order-4 quotients are classified by cheap fingerprint counts read off the
-product table (the characteristic, which is the modulus m, squares equal to
-zero or to themselves, and invertibility), which separate the four
-isomorphism classes without any isomorphism search.
+An order-4 quotient's class is the model ring whose product and sum tables
+a bijection carries onto the quotient's (``model_bijection``); fingerprint
+counts read off the product table (the characteristic, which is the
+modulus m, squares equal to zero or to themselves, and invertibility) are
+reported beside it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import BudgetExceeded, InfiniteQuotient, NonMonicGenerator, NotOrderFour, RingMismatch
+from .errors import BudgetExceeded, InfiniteQuotient, NonMonicGenerator, RingMismatch
 from .poly import Poly, divmod_monic
 from .rings import Element, Ring, constant, is_prime_int, verify_prime
 
@@ -183,36 +184,36 @@ class IsoClass(enum.Enum):
     OTHER = "Other"
 
 
-def order4_table(ideal: Ideal) -> CayleyTable:
-    """The Cayley table of a quotient of order 4; any other order is refused."""
-    if not ideal.is_finite_quotient or ideal.quotient_size != 4:
-        raise NotOrderFour(f"quotient by ({ideal}) does not have order 4")
-    return cayley_table(ideal)
+# The model rings never change, so their tables are built once, at import.
+MODELS = {
+    IsoClass.Z4: cayley_table(Ideal(Ring.Z, 4)),
+    IsoClass.Z2X_X2P1: cayley_table(Ideal(Ring.ZX, 2, Poly((1, 0, 1)))),
+    IsoClass.F4: cayley_table(Ideal(Ring.ZX, 2, Poly((1, 1, 1)))),
+    IsoClass.Z2X_X2PX: cayley_table(Ideal(Ring.ZX, 2, Poly((0, 1, 1)))),
+}
 
 
-def classify_order4(ideal: Ideal) -> IsoClass:
-    """Assign one of the four order-4 ring classes from the fingerprint."""
-    return classify(order4_table(ideal))[1]
-
-
-def _order4_class(fp: QuotientFingerprint) -> IsoClass:
-    if fp.characteristic == 4:
-        return IsoClass.Z4
-    if fp.unit_count == 3:
-        return IsoClass.F4
-    if fp.nilpotent_count == 2:
-        return IsoClass.Z2X_X2P1
-    if fp.idempotent_count == 4:
-        return IsoClass.Z2X_X2PX
-    return IsoClass.OTHER
+def model_bijection(table: CayleyTable) -> tuple[IsoClass, tuple[int, ...]]:
+    """The first model ring, with the first bijection in counting order,
+    that carries the model's product and sum tables onto the table's:
+    ``image[i]`` is the table index of model residue i.  A table of order
+    != 4, or one that no model fits, gives (Other, ())."""
+    if len(table.residues) == 4:
+        for cls, model in MODELS.items():
+            for image in itertools.permutations(range(4)):
+                if all(
+                    image[theirs[i][j]] == mine[image[i]][image[j]]
+                    for mine, theirs in ((table.product, model.product), (table.sum, model.sum))
+                    for i, j in itertools.product(range(4), repeat=2)
+                ):
+                    return cls, image
+    return IsoClass.OTHER, ()
 
 
 def classify(table: CayleyTable) -> tuple[QuotientFingerprint, IsoClass]:
-    """Fingerprint plus class of the quotient with this product table;
-    quotients of order != 4 classify as Other."""
-    fp = quotient_fingerprint(table)
-    cls = _order4_class(fp) if fp.size == 4 else IsoClass.OTHER
-    return fp, cls
+    """Fingerprint plus class of the quotient with these tables; quotients
+    of order != 4 classify as Other."""
+    return quotient_fingerprint(table), model_bijection(table)[0]
 
 
 def find_primes_in_class(ideal: Ideal, target: Residue, bound: int = 50) -> Iterator[Element]:

@@ -7,13 +7,13 @@ hold; run with ``pytest -s tests/test_acceptance.py -v`` to see them.
 import itertools
 from fractions import Fraction
 
-from taufact.engine import elasticity, enumerate_tau_factorizations, is_tau_atom
+from taufact.engine import elasticity, enumerate_tau_factorizations
 from taufact.poly import Poly
 from taufact.quotient import (
     Ideal,
     IsoClass,
     cayley_table,
-    classify_order4,
+    classify,
     find_primes_in_class,
 )
 from taufact.rings import Element, FactoredElement, Ring, build_factored, expand
@@ -61,7 +61,7 @@ def test_criterion_2_worked_examples():
     assert multisets == {("28",), ("4", "7"), ("2", "14"), ("2", "2", "7")}
     atomic = [
         tf for tf in facs
-        if all(is_tau_atom(block, ideal) for block in tf.blocks)
+        if all(elasticity(block, ideal).factorization_count == 1 for block in tf.blocks)
     ]
     assert len(atomic) == 1
     witness = atomic[0]
@@ -103,13 +103,13 @@ def test_criterion_3_cayley_goldens_and_classes():
             assert got == want, f"({a})*({b}) mod ({name}): {got} != {want}"
 
     classes = {
-        classify_order4(Ideal(Ring.Z, 4)),
-        classify_order4(Ideal(Ring.ZX, 2, Poly((1, 0, 1)))),
-        classify_order4(Ideal(Ring.ZX, 2, Poly((1, 1, 1)))),
-        classify_order4(Ideal(Ring.ZX, 2, Poly((0, 1, 1)))),
+        classify(cayley_table(Ideal(Ring.Z, 4)))[1],
+        classify(cayley_table(Ideal(Ring.ZX, 2, Poly((1, 0, 1)))))[1],
+        classify(cayley_table(Ideal(Ring.ZX, 2, Poly((1, 1, 1)))))[1],
+        classify(cayley_table(Ideal(Ring.ZX, 2, Poly((0, 1, 1)))))[1],
     }
     assert len(classes) == 4 and IsoClass.OTHER not in classes
-    assert classify_order4(Ideal(Ring.ZX, 4, Poly.x())) is IsoClass.Z4
+    assert classify(cayley_table(Ideal(Ring.ZX, 4, Poly.x())))[1] is IsoClass.Z4
     print("\nPASS criterion 3: three multiplication tables match cell-for-cell; "
           "four ideals classify to four distinct classes")
 
@@ -209,11 +209,11 @@ def test_criterion_7_oracle_self_consistency():
                 }
                 assert ours == naive_factorizations(fe, ideal)
 
-                atom = is_tau_atom(fe, ideal)
+                atom = elasticity(fe, ideal).factorization_count == 1
                 assert atom == naive_is_atom(list(combo), ideal)
 
                 negated = FactoredElement(fe.ring, -fe.unit, fe.factors)
-                assert atom == is_tau_atom(negated, ideal)
+                assert atom == (elasticity(negated, ideal).factorization_count == 1)
 
                 report = elasticity(fe, ideal)
                 neg_report = elasticity(negated, ideal)

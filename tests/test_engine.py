@@ -8,7 +8,6 @@ from taufact.engine import (
     EnumerationBudget,
     elasticity,
     enumerate_tau_factorizations,
-    is_tau_atom,
 )
 from taufact.errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from taufact.poly import Poly
@@ -45,7 +44,7 @@ def block_values(tf):
 def atomic_factorizations(fe, ideal):
     return [
         tf for tf in enumerate_tau_factorizations(fe, ideal)
-        if all(is_tau_atom(b, ideal) for b in tf.blocks)
+        if all(elasticity(b, ideal).factorization_count == 1 for b in tf.blocks)
     ]
 
 
@@ -78,14 +77,14 @@ def test_single_prime_trivial_only():
     for fe, ideal in [(z_factored((7, 1)), I3), (build_factored(Ring.ZX, 1, [(X, 1)]), IX2PX)]:
         facs = enumerate_tau_factorizations(fe, ideal)
         assert len(facs) == 1 and facs[0].length == 1
-        assert is_tau_atom(fe, ideal)
+        assert elasticity(fe, ideal).factorization_count == 1
 
 
 def test_atom_examples():
-    assert not is_tau_atom(z_factored((2, 2)), I3)  # 4
-    assert not is_tau_atom(z_factored((2, 1), (7, 1)), I3)  # 14 = -1*2*(-7)
+    assert elasticity(z_factored((2, 2)), I3).factorization_count != 1  # 4
+    assert elasticity(z_factored((2, 1), (7, 1)), I3).factorization_count != 1  # 14 = -1*2*(-7)
     fe = build_factored(Ring.ZX, 1, [(X, 1), (XP1, 2)])
-    assert is_tau_atom(fe, IX2PX)
+    assert elasticity(fe, IX2PX).factorization_count == 1
 
 
 def test_atomic_factorizations_28():
@@ -174,7 +173,7 @@ def test_listing_candidate_cap_fires_above_the_kernel_cap():
     # 2^8 modulo 1: 36 kernel steps, 66 candidate blocks, 22 factorizations.
     fe, ideal = z_factored((2, 8)), Ideal(Ring.Z, 1)
     assert len(enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=66))) == 22
-    assert not is_tau_atom(fe, ideal, EnumerationBudget(max_partitions=36))
+    assert elasticity(fe, ideal, EnumerationBudget(max_partitions=36)).factorization_count != 1
     for cap in (36, 65):
         with pytest.raises(BudgetExceeded, match=f"^partition budget of {cap} exhausted$"):
             enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=cap))
@@ -194,10 +193,10 @@ def test_listing_that_drops_a_partition_fails_its_count_check(monkeypatch):
 def test_budget_outcome_independent_of_earlier_calls():
     tight = EnumerationBudget(max_partitions=3)
     with pytest.raises(BudgetExceeded):
-        is_tau_atom(seq(4), IX2PX, tight)
-    assert not is_tau_atom(seq(4), IX2PX)
+        elasticity(seq(4), IX2PX, tight)
+    assert elasticity(seq(4), IX2PX).factorization_count != 1
     with pytest.raises(BudgetExceeded):
-        is_tau_atom(seq(4), IX2PX, tight)
+        elasticity(seq(4), IX2PX, tight)
 
 
 def test_associate_invariance():
@@ -206,7 +205,6 @@ def test_associate_invariance():
         (seq(3), build_factored(Ring.ZX, -1, [(X, 3), (XP1, 3)]), IX2PX),
     ]
     for fe, neg, ideal in pools:
-        assert is_tau_atom(fe, ideal) == is_tau_atom(neg, ideal)
         a, b = elasticity(fe, ideal), elasticity(neg, ideal)
         assert (a.is_atomic, a.atomic_lengths, a.elasticity) == (
             b.is_atomic,
@@ -281,7 +279,7 @@ def test_engine_matches_naive_z(parts, ideal):
     ours = {block_values(tf) for tf in enumerate_tau_factorizations(fe, ideal)}
     assert ours == naive_factorizations(fe, ideal)
     instances = [Element.integer(p) for p, e in parts for _ in range(e)]
-    assert is_tau_atom(fe, ideal) == naive_is_atom(instances, ideal)
+    assert (elasticity(fe, ideal).factorization_count == 1) == naive_is_atom(instances, ideal)
     report = elasticity(fe, ideal)
     assert report.atomic_lengths == frozenset(naive_atomic_lengths(fe, ideal))
 
@@ -340,7 +338,7 @@ def test_engine_matches_naive_on_other_ideals(ideal, pool):
         assert report.factorization_count == len(expected)
         assert report.atomic_count == len(atomic)
         assert report.atomic_lengths == frozenset(len(blocks) for blocks in atomic)
-        assert is_tau_atom(fe, ideal) == naive_is_atom(combo, ideal)
+        assert (report.factorization_count == 1) == naive_is_atom(combo, ideal)
 
 
 def test_budget_binds_when_nothing_is_yielded():
@@ -350,27 +348,26 @@ def test_budget_binds_when_nothing_is_yielded():
     # before any work, whether or not a split exists.
     fe = z_factored((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1))
     ideal = Ideal(Ring.Z, 0)
-    assert is_tau_atom(fe, ideal)
+    assert elasticity(fe, ideal).factorization_count == 1
     with pytest.raises(BudgetExceeded):
-        is_tau_atom(fe, ideal, EnumerationBudget(max_partitions=50))
+        elasticity(fe, ideal, EnumerationBudget(max_partitions=50))
 
 
 def test_kernel_budget_boundary():
     # v = (4, 4): C(6, 2)^2 - 5^2 = 200 (part, target) pairs per pass.
     steps = 200
-    assert not is_tau_atom(seq(4), IX2PX, EnumerationBudget(max_partitions=steps))
     report = elasticity(seq(4), IX2PX, EnumerationBudget(max_partitions=steps))
+    assert report.factorization_count != 1
     assert report.atomic_lengths == frozenset({2, 3, 4})
     message = f"{steps} kernel steps exceed the budget of {steps - 1}"
-    for decide in (is_tau_atom, elasticity):
-        with pytest.raises(BudgetExceeded, match=message):
-            decide(seq(4), IX2PX, EnumerationBudget(max_partitions=steps - 1))
+    with pytest.raises(BudgetExceeded, match=message):
+        elasticity(seq(4), IX2PX, EnumerationBudget(max_partitions=steps - 1))
 
 
 def test_default_budget_admits_every_element_within_max_primes():
     # Distinct primes are the costliest vector of a given total: 14 of them
     # take 3^14 - 2^14 = 4,766,585 steps, under the default cap.
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-    assert is_tau_atom(z_factored(*((p, 1) for p in primes)), Ideal(Ring.Z, 0))
+    assert elasticity(z_factored(*((p, 1) for p in primes)), Ideal(Ring.Z, 0)).factorization_count == 1
     with pytest.raises(BudgetExceeded, match="15 primes exceed"):
-        is_tau_atom(z_factored(*((p, 1) for p in primes + (47,))), Ideal(Ring.Z, 0))
+        elasticity(z_factored(*((p, 1) for p in primes + (47,))), Ideal(Ring.Z, 0))

@@ -11,8 +11,8 @@ from taufact.poly import Poly
 from taufact.predictors import (
     Atomicity,
     Census,
+    PredictionContext,
     build_iso_map,
-    class_census,
     predict_f4,
     predict_z4,
     predict_zx_x2p1,
@@ -20,7 +20,7 @@ from taufact.predictors import (
     prediction_context,
     sequence_element,
 )
-from taufact.quotient import Ideal, IsoClass, cayley_table, reduce
+from taufact.quotient import Ideal, IsoClass, cayley_table, classify, reduce
 from taufact.rings import Element, Ring, build_factored, constant, expand
 
 I4 = Ideal(Ring.Z, 4)
@@ -67,15 +67,15 @@ def test_iso_map_rejects_non_order4():
 def test_census_examples():
     iso = build_iso_map(IX2PX)
     fe = build_factored(Ring.ZX, 1, [(X, 3), (XP1, 3)])
-    assert class_census(fe, IX2PX, iso) == Census(0, 3, 3, 0)
+    assert PredictionContext(IX2PX, iso, 50).census(fe) == Census(0, 3, 3, 0)
 
     iso = build_iso_map(I4)
     fe = build_factored(Ring.Z, 1, [(Element.integer(2), 2), (Element.integer(5), 1)])
-    assert class_census(fe, I4, iso) == Census(1, 2, 0, 0)
+    assert PredictionContext(I4, iso, 50).census(fe) == Census(1, 2, 0, 0)
 
     iso = build_iso_map(I4X)
     fe = build_factored(Ring.ZX, 1, [(zx((2,)), 1), (zx((2, 1)), 1), (X, 1)])
-    assert class_census(fe, I4X, iso) == Census(0, 2, 0, 1)
+    assert PredictionContext(I4X, iso, 50).census(fe) == Census(0, 2, 0, 1)
 
 
 def test_predict_z4():
@@ -324,7 +324,7 @@ def test_iso_map_rejects_tables_that_do_not_transport(monkeypatch):
     # The quotient is equal to, but not the same object as, the model ring
     # of its class, so only its own sum table is corrupted: x + (x+1) -> 0.
     ideal = Ideal(Ring.ZX, 2, Poly((0, 1, 1)))
-    real = predictors.order4_table
+    real = predictors.cayley_table
 
     def corrupted(target):
         table = real(target)
@@ -335,9 +335,11 @@ def test_iso_map_rejects_tables_that_do_not_transport(monkeypatch):
         rows[x][x1] = 0
         return replace(table, sum=tuple(map(tuple, rows)))
 
-    monkeypatch.setattr(predictors, "order4_table", corrupted)
+    monkeypatch.setattr(predictors, "cayley_table", corrupted)
     with pytest.raises(InternalCheckFailed):
         build_iso_map(ideal)
+    # The class is decided by the same bijection, so it is Other too.
+    assert classify(corrupted(ideal))[1] is IsoClass.OTHER
     # An equal ideal that is another object still maps: the model is intact.
     assert build_iso_map(Ideal(Ring.ZX, 2, Poly((0, 1, 1)))).iso_class is IsoClass.Z2X_X2PX
 

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from taufact.errors import InfiniteQuotient, NonMonicGenerator, NotOrderFour, RingMismatch
 from taufact.poly import Poly
+from taufact.predictors import build_iso_map
 from taufact.quotient import (
     Ideal,
     IsoClass,
     cayley_table,
     classify,
-    classify_order4,
     congruent,
     find_primes_in_class,
     quotient_fingerprint,
@@ -132,10 +132,10 @@ def test_cayley_table_x2px1():
 
 def test_classify_four_ideals_distinct():
     classes = {
-        classify_order4(I4),
-        classify_order4(IX2P1),
-        classify_order4(IX2PX1),
-        classify_order4(IX2PX),
+        classify(cayley_table(I4))[1],
+        classify(cayley_table(IX2P1))[1],
+        classify(cayley_table(IX2PX1))[1],
+        classify(cayley_table(IX2PX))[1],
     }
     assert classes == {
         IsoClass.Z4,
@@ -143,12 +143,12 @@ def test_classify_four_ideals_distinct():
         IsoClass.F4,
         IsoClass.Z2X_X2PX,
     }
-    assert classify_order4(I4X) is IsoClass.Z4
+    assert classify(cayley_table(I4X))[1] is IsoClass.Z4
 
 
 def test_classify_order4_examples():
-    assert classify_order4(IX2PX) is IsoClass.Z2X_X2PX
-    assert classify_order4(IX2PX1) is IsoClass.F4
+    assert classify(cayley_table(IX2PX))[1] is IsoClass.Z2X_X2PX
+    assert classify(cayley_table(IX2PX1))[1] is IsoClass.F4
 
 
 def test_classify_computes_one_fingerprint(monkeypatch):
@@ -167,6 +167,20 @@ def test_classify_computes_one_fingerprint(monkeypatch):
     assert seen == [table]
 
 
+def _fingerprint_class(fp):
+    """Reference rules: the four order-4 rings told apart by fingerprint
+    counts alone, with no isomorphism search."""
+    if fp.characteristic == 4:
+        return IsoClass.Z4
+    if fp.unit_count == 3:
+        return IsoClass.F4
+    if fp.nilpotent_count == 2:
+        return IsoClass.Z2X_X2P1
+    if fp.idempotent_count == 4:
+        return IsoClass.Z2X_X2PX
+    return IsoClass.OTHER
+
+
 @pytest.mark.parametrize(
     "ideal",
     # every supported (m, g) shape with quotient size 4: degree-1 generators
@@ -181,12 +195,14 @@ def test_classify_computes_one_fingerprint(monkeypatch):
     ],
 )
 def test_every_order4_quotient_gets_a_named_class(ideal):
-    assert classify_order4(ideal) is not IsoClass.OTHER
+    fp, cls = classify(cayley_table(ideal))
+    assert cls is not IsoClass.OTHER
+    assert cls is _fingerprint_class(fp)
 
 
 def test_classify_rejects_other_sizes():
     with pytest.raises(NotOrderFour):
-        classify_order4(I3)
+        build_iso_map(I3)
     fp, cls = classify(cayley_table(Ideal(Ring.Z, 6)))
     assert fp.size == 6 and cls is IsoClass.OTHER
 
