@@ -43,8 +43,8 @@ from typing import Optional
 
 from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
-from .quotient import Ideal, Residue, reduce, residue_mul
-from .rings import Element, FactoredElement, expand
+from .quotient import Ideal, Residue, reduce, residue_ops
+from .rings import FactoredElement, expand
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,14 @@ class ElasticityReport:
 
 class _Context:
     """Per-call state: the prime multiset as a vector, each prime's residue,
-    plus residue and sign-class caches keyed on part-vectors.  The kernel
-    packs a part-vector into one int with a bit field per prime; sums that
-    stay below the vector never carry."""
+    the ideal's residue product and negation, plus residue and sign-class
+    caches keyed on part-vectors.  The kernel packs a part-vector into one
+    int with a bit field per prime; sums that stay below the vector never
+    carry."""
 
     __slots__ = (
         "fe", "ideal", "budget", "primes", "vector", "shifts", "_prime_residues",
-        "_residues", "_classes",
+        "_mul", "_neg", "_residues", "_classes",
     )
 
     def __init__(self, fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget):
@@ -122,6 +123,7 @@ class _Context:
         self.primes = tuple(p for p, _ in fe.factors)
         self.vector = tuple(exp for _, exp in fe.factors)
         self._prime_residues = tuple(reduce(p, ideal) for p in self.primes)
+        self._mul, self._neg = residue_ops(ideal)
         self._residues: dict = {}
         self._classes: dict = {}
         width = max(self.vector).bit_length()
@@ -179,7 +181,7 @@ class _Context:
             cached = self._prime_residues[lead]
             if sum(part) > 1:
                 rest = part[:lead] + (part[lead] - 1,) + part[lead + 1:]
-                cached = residue_mul(self.residue(rest), cached)
+                cached = self._mul(self.residue(rest), cached)
             self._residues[part] = cached
         return cached
 
@@ -188,8 +190,7 @@ class _Context:
         cached = self._classes.get(part)
         if cached is None:
             residue = self.residue(part)
-            minus = reduce(-Element(self.ideal.ring, residue.rep), self.ideal)
-            cached = self._classes[part] = frozenset((residue, minus))
+            cached = self._classes[part] = frozenset((residue, self._neg(residue)))
         return cached
 
     def block(self, part: tuple[int, ...]) -> FactoredElement:

@@ -39,10 +39,6 @@ class UnsupportedDegree(TaufactError):
     code = "unsupported_degree"
 
 
-class NonMonicDivisor(TaufactError):
-    code = "non_monic_divisor"
-
-
 class NonMonicGenerator(TaufactError):
     code = "non_monic_generator"
 

@@ -5,9 +5,10 @@ coefficient of x**i.  The stored tuple never ends in a zero; the zero
 polynomial is the empty tuple.  Coefficients are ordinary Python ints, so
 all arithmetic is exact at any magnitude.
 
-Division is deliberately restricted to monic divisors (``divmod_monic``),
-which keeps quotient and remainder inside ZZ[x] and is the only division
-the rest of the package needs.
+``convolve`` multiplies two coefficient sequences; ``Poly.__mul__`` and
+the residue arithmetic of ``taufact.quotient`` both use it.  The only
+division the package needs is by a monic generator, and only its remainder:
+that lives with the residues in ``taufact.quotient``.
 """
 
 from __future__ import annotations
@@ -16,18 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NonMonicDivisor
-
 
 @dataclass(frozen=True)
 class Poly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        cs = tuple(map(int, self.coeffs))
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", cs[:n])
 
     @classmethod
     def zero(cls) -> Poly:
@@ -102,28 +102,20 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(tuple(out))
+        return Poly(out)
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, int):
-            return Poly(tuple(c * other for c in self.coeffs))
+            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
+        return Poly(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -150,23 +142,17 @@ class Poly:
         return text
 
 
-def divmod_monic(a: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Exact division of a by a monic g over ZZ: a == q*g + r, deg r < deg g."""
-    if not g.is_monic:
-        raise NonMonicDivisor(f"divisor must be monic, got {g}")
-    dg = g.degree
-    rem = list(a.coeffs)
-    if len(rem) <= dg:
-        return Poly(()), a
-    quot = [0] * (len(rem) - dg)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quot[i - dg] = c
-        for j, gc in enumerate(g.coeffs):
-            rem[i - dg + j] -= c * gc
-    return Poly(tuple(quot)), Poly(tuple(rem[:dg]))
+def convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Coefficients of the product of two polynomials given by their
+    coefficients, low degree first; empty if either is empty."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
 
 
 def has_rational_root(p: Poly) -> bool:

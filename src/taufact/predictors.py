@@ -227,8 +227,11 @@ class PredictionContext:
             counts[self.iso.role_of(reduce(prime, self.ideal))] += exp
         return Census(*counts.values())
 
-    def predict(self, fe: FactoredElement) -> PredictedProfile:
-        census = self.census(fe)
+    def predict(self, fe: FactoredElement, census: Optional[Census] = None) -> PredictedProfile:
+        """The closed-form profile of fe; ``census``, when given, is fe's
+        census, so a caller that needs both reduces each prime once."""
+        if census is None:
+            census = self.census(fe)
         cls = self.iso.iso_class
         if cls is IsoClass.Z4:
             return predict_z4(census, self.iso.role_of(reduce(expand(fe), self.ideal)))

@@ -3,9 +3,19 @@
 Supported ideal shapes are (m) over ZZ and (m, g) over ZZ[x] with g monic.
 Reduction to a canonical residue is then elementary: divide by g exactly
 (monic long division keeps everything in ZZ[x]) and take every coefficient
-mod m.  Two elements are congruent iff their canonical residues coincide,
-and for m >= 2 with g present the quotient is finite with m**deg(g)
-residues, which is enough to build the full Cayley table.
+mod m; ``remainder`` does both in one pass over a coefficient list and
+keeps no quotient.  Two elements are congruent iff their canonical residues
+coincide, and for m >= 2 with g present the quotient is finite with
+m**deg(g) residues, which is enough to build the full Cayley table.
+
+``residue_ops`` gives the product and the negation of residues modulo one
+ideal, chosen once per ideal.  Over ZZ[x] the product convolves the two
+representatives' coefficients and takes the remainder once, and the
+negation negates each coefficient mod m: a canonical representative has
+degree < deg g, and so has its negation.  Neither builds an intermediate
+``Poly`` or ``Element``.  Over ZZ both still go through ``reduce``, as
+before: plain integer arithmetic there waits for ROADMAP item 1, which
+first changes how the benchmark bills its own time against the kernel's.
 
 ``cayley_table`` is the one place that computes the structure of a finite
 quotient: residues in counting order (zero and one first) and the product
@@ -13,10 +23,10 @@ and sum tables as indices into them.  Residue i has the base-m digits of i
 as its coefficients, constant term lowest, so both tables come from the
 Z/m-linear structure by index arithmetic, without residue arithmetic.
 An order-4 quotient's class is the model ring whose product and sum tables
-a bijection carries onto the quotient's (``model_bijection``); fingerprint
-counts read off the product table (the characteristic, which is the
-modulus m, squares equal to zero or to themselves, and invertibility) are
-reported beside it.
+a bijection carries onto the quotient's (``model_bijection``); only models
+of the quotient's characteristic, which is the modulus m, are tried.
+Fingerprint counts read off the product table (the characteristic, squares
+equal to zero or to themselves, and invertibility) are reported beside it.
 """
 
 from __future__ import annotations
@@ -24,10 +34,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import BudgetExceeded, InfiniteQuotient, NonMonicGenerator, RingMismatch
-from .poly import Poly, divmod_monic
+from .poly import Poly, convolve
 from .rings import Element, Ring, constant, is_prime_int, verify_prime
 
 
@@ -75,6 +85,26 @@ class Residue:
         return str(self.rep)
 
 
+def remainder(coeffs: list[int], g: Optional[tuple[int, ...]], m: int) -> Poly:
+    """The polynomial with these coefficients, low degree first, modulo
+    (m, g): the remainder of long division by the monic g (no division when
+    g is None), then every coefficient mod m (kept when m = 0).  The list is
+    used up."""
+    if g is not None:
+        d = len(g) - 1
+        low = g[:d]
+        for i in range(len(coeffs) - 1, d - 1, -1):
+            c = coeffs[i]
+            if c:
+                # coeffs[i] itself cancels against g's leading 1
+                for j, gc in enumerate(low, i - d):
+                    coeffs[j] -= c * gc
+        del coeffs[d:]
+    if m:
+        coeffs = [c % m for c in coeffs]
+    return Poly(coeffs)
+
+
 def reduce(e: Element, ideal: Ideal) -> Residue:
     """Canonical residue of e modulo the ideal.
 
@@ -86,12 +116,8 @@ def reduce(e: Element, ideal: Ideal) -> Residue:
     if ideal.ring is Ring.Z:
         rep = e.value % ideal.modulus if ideal.modulus else e.value
         return Residue(ideal, rep)
-    p = e.value
-    if ideal.generator is not None:
-        _, p = divmod_monic(p, ideal.generator)
-    if ideal.modulus:
-        p = Poly(tuple(c % ideal.modulus for c in p.coeffs))
-    return Residue(ideal, p)
+    g = ideal.generator.coeffs if ideal.generator is not None else None
+    return Residue(ideal, remainder(list(e.value.coeffs), g, ideal.modulus))
 
 
 def congruent(a: Element, b: Element, ideal: Ideal) -> bool:
@@ -100,10 +126,32 @@ def congruent(a: Element, b: Element, ideal: Ideal) -> bool:
     return reduce(a, ideal) == reduce(b, ideal)
 
 
-def residue_mul(a: Residue, b: Residue) -> Residue:
-    if a.ideal != b.ideal:
-        raise RingMismatch("residues belong to different ideals")
-    return reduce(Element(a.ideal.ring, a.rep * b.rep), a.ideal)
+def residue_ops(
+    ideal: Ideal,
+) -> tuple[Callable[[Residue, Residue], Residue], Callable[[Residue], Residue]]:
+    """The product and the negation of residues modulo the ideal, both
+    taking and giving canonical residues of it; the ring's arm is chosen
+    here, once, not per residue."""
+    if ideal.ring is Ring.Z:
+        # Through ``reduce`` on purpose (module docstring, ROADMAP item 1).
+        def mul(a: Residue, b: Residue) -> Residue:
+            return reduce(Element(Ring.Z, a.rep * b.rep), ideal)
+
+        def neg(r: Residue) -> Residue:
+            return reduce(-Element(Ring.Z, r.rep), ideal)
+
+        return mul, neg
+    g = ideal.generator.coeffs if ideal.generator is not None else None
+    m = ideal.modulus
+
+    def mul(a: Residue, b: Residue) -> Residue:
+        return Residue(ideal, remainder(convolve(a.rep.coeffs, b.rep.coeffs), g, m))
+
+    def neg(r: Residue) -> Residue:
+        # deg(-r) = deg r < deg g: only the coefficients need reducing
+        return Residue(ideal, remainder([-c for c in r.rep.coeffs], None, m))
+
+    return mul, neg
 
 
 MAX_TABLE_CELLS = 5_000_000  # as many as the default kernel step budget
@@ -196,10 +244,13 @@ MODELS = {
 def model_bijection(table: CayleyTable) -> tuple[IsoClass, tuple[int, ...]]:
     """The first model ring, with the first bijection in counting order,
     that carries the model's product and sum tables onto the table's:
-    ``image[i]`` is the table index of model residue i.  A table of order
-    != 4, or one that no model fits, gives (Other, ())."""
+    ``image[i]`` is the table index of model residue i.  Only models of the
+    table's characteristic (its modulus) are tried.  A table of order != 4,
+    or one that no model fits, gives (Other, ())."""
     if len(table.residues) == 4:
         for cls, model in MODELS.items():
+            if model.ideal.modulus != table.ideal.modulus:
+                continue  # the characteristic, an invariant, differs
             for image in itertools.permutations(range(4)):
                 if all(
                     image[theirs[i][j]] == mine[image[i]][image[j]]

@@ -125,7 +125,7 @@ def run_predictor_suite(
             counts[roles[rng.randrange(4)]] += 1
         fe = _materialize(ctx, counts, pools, rng.choice((1, -1)))
         census = ctx.census(fe)
-        profile = ctx.predict(fe)
+        profile = ctx.predict(fe, census)
         try:
             oracle = elasticity(fe, ideal, budget)
         except BudgetExceeded as exc:

@@ -318,7 +318,7 @@ def test_budget_below_one_is_a_usage_error(runner, args, budget):
 
 
 def test_classify_builds_one_product_table(runner, monkeypatch):
-    calls = {"cayley_table": 0, "residue_mul": 0}
+    calls = {"cayley_table": 0, "residue_ops": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -327,13 +327,13 @@ def test_classify_builds_one_product_table(runner, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "cayley_table", counting("cayley_table", cli.cayley_table))
-    monkeypatch.setattr(quotient, "residue_mul", counting("residue_mul", quotient.residue_mul))
+    monkeypatch.setattr(quotient, "residue_ops", counting("residue_ops", quotient.residue_ops))
     for ideal in ("3, x^2+1", "5, x^3+x+1"):
-        calls.update(cayley_table=0, residue_mul=0)
+        calls.update(cayley_table=0, residue_ops=0)
         result = run(runner, "classify", "--ideal", ideal)
         assert result.exit_code == 0
         # The table is built by index arithmetic: no residue is multiplied.
-        assert calls == {"cayley_table": 1, "residue_mul": 0}
+        assert calls == {"cayley_table": 1, "residue_ops": 0}
 
 
 def test_classify_refuses_a_table_over_the_cell_bound(runner, monkeypatch):

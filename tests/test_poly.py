@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from taufact.errors import NonMonicDivisor
-from taufact.poly import Poly, divmod_monic, has_rational_root
+from taufact.poly import Poly, has_rational_root
+from taufact.quotient import remainder
 
 X = Poly.x()
 XP1 = Poly((1, 1))
@@ -53,20 +53,28 @@ def test_add_examples():
     assert XP1 + XP1 == Poly((2, 2))
 
 
+def divmod_reference(a, g):
+    """Schoolbook long division by a monic g, quotient kept: a == q*g + r."""
+    dg = g.degree
+    rem = list(a.coeffs)
+    if len(rem) <= dg:
+        return Poly(()), a
+    quot = [0] * (len(rem) - dg)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = rem[i]
+        quot[i - dg] = c
+        for j, gc in enumerate(g.coeffs):
+            rem[i - dg + j] -= c * gc
+    return Poly(tuple(quot)), Poly(tuple(rem[:dg]))
+
+
 def test_divmod_monic_examples():
-    q, r = divmod_monic(Poly((0, 0, 0, 1)), Poly((0, 1, 1)))
-    assert q == Poly((-1, 1)) and r == X
-    q, r = divmod_monic(XP1, Poly((0, 1, 1)))
-    assert q == Poly.zero() and r == XP1
-    q, r = divmod_monic(Poly((0, 1, 1)), Poly((0, 1, 1)))
-    assert q == Poly.one() and r == Poly.zero()
-
-
-def test_divmod_rejects_non_monic():
-    with pytest.raises(NonMonicDivisor):
-        divmod_monic(X, Poly((0, 2)))
-    with pytest.raises(NonMonicDivisor):
-        divmod_monic(X, Poly.zero())
+    g = Poly((0, 1, 1)).coeffs
+    assert remainder([0, 0, 0, 1], g, 0) == X
+    assert remainder(list(XP1.coeffs), g, 0) == XP1
+    assert remainder([0, 1, 1], g, 0) == Poly.zero()
+    assert remainder([3, 5, 7], None, 2) == Poly((1, 1, 1))
+    assert remainder([4, -6], None, 2) == Poly.zero()
 
 
 @given(small_polys(), small_polys(), small_polys())
@@ -78,16 +86,24 @@ def test_ring_axioms(a, b, c):
 
 @given(small_polys(), monic_polys())
 def test_divmod_round_trip(a, g):
-    q, r = divmod_monic(a, g)
-    assert q * g + r == a
+    r = remainder(list(a.coeffs), g.coeffs, 0)
     assert r.degree < g.degree
+    assert remainder(list((a - r).coeffs), g.coeffs, 0).is_zero
 
 
 @given(small_polys(max_degree=2), monic_polys())
 def test_divmod_recovers_quotient_and_remainder(a, g):
     r = Poly(a.coeffs[: g.degree])
-    q, rem = divmod_monic(a * g + r, g)
-    assert (q, rem) == (a, r)
+    assert remainder(list((a * g + r).coeffs), g.coeffs, 0) == r
+
+
+@given(small_polys(max_degree=6), monic_polys(), st.integers(0, 6))
+def test_remainder_agrees_with_long_division(a, g, m):
+    q, r = divmod_reference(a, g)
+    assert q * g + r == a
+    expected = Poly(tuple(c % m for c in r.coeffs)) if m else r
+    assert remainder(list(a.coeffs), g.coeffs, m) == expected
+    assert remainder(list(a.coeffs), None, m) == (Poly(tuple(c % m for c in a.coeffs)) if m else a)
 
 
 def test_evaluate_exact():

@@ -18,7 +18,7 @@ from taufact.quotient import (
     find_primes_in_class,
     quotient_fingerprint,
     reduce,
-    residue_mul,
+    residue_ops,
 )
 from taufact.rings import Element, Ring, constant, verify_prime
 
@@ -309,7 +309,7 @@ def test_find_primes_are_verified_and_distinct():
 def test_reduce_is_multiplicative_z(a, b):
     ra = reduce(Element.integer(a), I4)
     rb = reduce(Element.integer(b), I4)
-    assert reduce(Element.integer(a * b), I4) == residue_mul(ra, rb)
+    assert reduce(Element.integer(a * b), I4) == residue_ops(I4)[0](ra, rb)
 
 
 @given(
@@ -319,7 +319,7 @@ def test_reduce_is_multiplicative_z(a, b):
 def test_reduce_is_multiplicative_zx(ca, cb):
     a, b = zx(ca), zx(cb)
     ra, rb = reduce(a, IX2PX), reduce(b, IX2PX)
-    assert reduce(a * b, IX2PX) == residue_mul(ra, rb)
+    assert reduce(a * b, IX2PX) == residue_ops(IX2PX)[0](ra, rb)
 
 
 _cached_table = functools.lru_cache(maxsize=32)(cayley_table)
@@ -340,7 +340,41 @@ def test_reduce_is_a_ring_homomorphism(ideal, ca, cb):
     table = _cached_table(ideal)
     i, j = table.residues.index(ra), table.residues.index(rb)
     assert reduce(Element(ideal.ring, a.value + b.value), ideal) == table.residues[table.sum[i][j]]
-    assert reduce(a * b, ideal) == residue_mul(ra, rb)
+    multiply, negate = residue_ops(ideal)
+    assert reduce(a * b, ideal) == multiply(ra, rb)
+    assert reduce(-a, ideal) == negate(ra)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([
+        Ideal(Ring.ZX, 0, Poly((0, 1, 1))),  # (g) alone: m = 0
+        Ideal(Ring.ZX, 0, Poly((7, -2, 0, 1))),
+        Ideal(Ring.ZX, 0),  # congruence is equality
+        Ideal(Ring.ZX, 1),
+        Ideal(Ring.ZX, 3),
+        Ideal(Ring.ZX, 4),
+        Ideal(Ring.ZX, 5, Poly((1, 1, 0, 1))),  # degree-3 g
+        Ideal(Ring.ZX, 6, Poly((-3, 2, 4, 1))),
+        Ideal(Ring.Z, 0),
+        Ideal(Ring.Z, 1),
+    ]),
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.lists(st.integers(-9, 9), max_size=6),
+)
+def test_residue_ops_agree_with_reduce_on_every_shape(ideal, ca, cb):
+    """The product and negation of canonical residues, on ideal shapes the
+    table-backed property above cannot reach: infinite quotients, no
+    generator, and generators of degree 3."""
+    if ideal.ring is Ring.Z:  # the value at x = 2
+        a, b = (Element.integer(sum(c << k for k, c in enumerate(cs))) for cs in (ca, cb))
+    else:
+        a, b = zx(ca), zx(cb)
+    ra, rb = reduce(a, ideal), reduce(b, ideal)
+    multiply, negate = residue_ops(ideal)
+    assert multiply(ra, rb) == reduce(a * b, ideal)
+    assert negate(ra) == reduce(-a, ideal)
+    assert negate(negate(ra)) == ra
 
 
 def _check_cells(table, cells):
