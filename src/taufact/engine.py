@@ -20,8 +20,9 @@ Only residues decide the classes, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
 residue; no block product is expanded until a yielded partition is sorted.
 The listing runs the counting kernel below first and walks the sub-vectors
-it grouped by class; the kernel's counts flag each block as a tau-atom or
-not, and its count of the whole must equal the listing's length.
+it grouped by class; the kernel's counts bound the walk before it starts,
+flag each block as a tau-atom or not, and its count of the whole must equal
+the listing's length.
 
 Counts need no listing.  For each sign class K, a knapsack over the
 sub-vectors of class K counts the multisets of them summing to each
@@ -49,15 +50,15 @@ from .rings import FactoredElement, expand
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps on the work of one call; exceeding one raises BudgetExceeded.
+    """Caps on the work of one call; exceeding one raises BudgetExceeded
+    before the work it guards starts.
 
     ``max_primes`` caps the total prime multiplicity of the input.
     ``max_partitions`` caps steps: for the kernel, the (part, target) pairs
     of one knapsack pass, prod C(v_i + 2, 2) - prod (v_i + 1) for a vector
-    v, checked before any work; for the enumerator, the blocks it examines
-    over all classes: those of the class being walked that fit in what is
-    left, hold its first prime and are no larger than the previous block.
-    A listing applies the kernel's cap first, then the enumerator's.
+    v, checked before the kernel runs; for the listing, the kernel's count
+    of nonempty multisets of one class's blocks that fit under v, a bound
+    on the blocks the walk examines, checked before the walk.
     """
 
     max_primes: int = 14
@@ -208,9 +209,15 @@ def enumerate_tau_factorizations(
     flags.  Includes the trivial length-1 factorization."""
     ctx = _Context(fe, ideal, budget)
     groups, total = ctx.pass1()
+    # Each block the walk examines closes a nonempty multiset of one class's
+    # blocks that fits under the vector, and no two close the same one.  The
+    # class's knapsack counted exactly those multisets, plus the empty one.
+    steps = sum(total.values()) - len(groups)
+    if steps > budget.max_partitions:
+        raise BudgetExceeded(f"{steps} listing steps exceed the budget of {budget.max_partitions}")
     sort_keys: dict = {}  # blocks recur across partitions
     found = []
-    for partition in vector_partitions(ctx.vector, groups, budget.max_partitions):
+    for partition in vector_partitions(ctx.vector, groups):
         for p in partition:
             if p not in sort_keys:
                 sort_keys[p] = expand(ctx.block(p)).sort_key

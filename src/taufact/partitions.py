@@ -13,33 +13,23 @@ previous part, recurse on what is left.  Every part must contain the first
 nonzero coordinate of what remains, since a later, lex-smaller part could
 not cover it.  A class keeps a trie of its parts per first nonzero
 coordinate; the search reaches only parts meeting all three conditions.
+
+Nothing here counts or caps the work: each part examined closes a distinct
+nonempty multiset of one class's parts, which a caller can count first.
 """
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Iterable, Iterator, Optional
-
-from .errors import BudgetExceeded
+from typing import Iterable, Iterator
 
 
 def vector_partitions(
-    vector: tuple[int, ...],
-    classes: Iterable[Iterable[tuple[int, ...]]],
-    max_partitions: Optional[int],
+    vector: tuple[int, ...], classes: Iterable[Iterable[tuple[int, ...]]]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield the partitions of a multiplicity vector into parts of one class,
-    class by class, as tuples of part-vectors.
-
-    ``max_partitions`` caps the candidate parts examined over all classes,
-    not the partitions yielded, so a search that finds nothing stops as
-    well; None means no cap.  A candidate is a part of the class being
-    walked that fits in what remains, holds its first nonzero coordinate
-    and is no larger than the previous part.
-    """
+    class by class, as tuples of part-vectors."""
     if not vector or not any(vector):
         raise ValueError("vector must have positive total multiplicity")
-    examined = count(1)
     for parts in classes:
         tries: dict = {}  # by first nonzero coordinate; children descend
         for part in sorted(parts, reverse=True):
@@ -48,21 +38,19 @@ def vector_partitions(
             for d in part[lead:-1]:
                 node = node.setdefault(d, {})
             node[part[-1]] = part
-        yield from _partitions(vector, vector, [], tries, examined, max_partitions)
+        yield from _partitions(vector, vector, [], tries)
 
 
-def _partitions(remaining, bound, acc, tries, examined, cap):
+def _partitions(remaining, bound, acc, tries):
     if not any(remaining):
         yield tuple(acc)
         return
     lead = next(i for i, r in enumerate(remaining) if r)
     trie, tight = tries.get(lead, {}), not any(bound[:lead])
     for part in _candidates(trie, remaining, bound, lead, tight, []):
-        if cap is not None and next(examined) > cap:
-            raise BudgetExceeded(f"partition budget of {cap} exhausted")
         acc.append(part)
         rest = tuple(r - p for r, p in zip(remaining, part))
-        yield from _partitions(rest, part, acc, tries, examined, cap)
+        yield from _partitions(rest, part, acc, tries)
         acc.pop()
 
 

@@ -22,8 +22,9 @@ nowhere else; a suite passes when all of its rows are ok:
   form; for the half-factorial classes of lemmas 1-3 an atomic element
   must also have exactly one atomic length.  A case whose oracle run
   exceeds the budget is reported and counted ok.
-- ``main`` (``SequenceRow``): x^i (x+1)^i is atomic with min, max and
-  elasticity (1, 1, 1) for i = 1 and (2, i, i/2) after.
+- ``main`` (``SequenceRow``): x^i (x+1)^i is atomic with length set
+  exactly {1} for i = 1 and {2, ..., i} after, and min, max and
+  elasticity (1, 1, 1) and (2, i, i/2) to match.
 - ``hfd-z-small`` (``SurveyResult``): no cross-check failure, and the
   largest elasticity is exactly 1 modulo 1, 2 and 3, at most 2 otherwise.
 """
@@ -173,23 +174,21 @@ def run_main_sequence(
     max_i: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> list[SequenceRow]:
     """Oracle elasticity of x^i (x+1)^i under (2, x^2+x) for i = 1..max_i,
-    checked against the expected exact values (1 for i = 1, i/2 after)."""
+    checked against the expected length sets ({1} for i = 1, {2..i} after).
+
+    Rows are computed from max_i down, so the costliest element meets the
+    budget before any other row is computed, and returned in ascending i."""
     ideal = SUITE_IDEALS["lemma4"]
     rows = []
-    for i in range(1, max_i + 1):
+    for i in range(max_i, 0, -1):
         report = elasticity(sequence_element(i), ideal, budget)
-        if i == 1:
-            expected = (1, 1, Fraction(1))
-        else:
-            expected = (2, i, Fraction(i, 2))
-        ok = (
-            report.is_atomic
-            and (report.min_len, report.max_len, report.elasticity) == expected
-        )
-        rows.append(
-            SequenceRow(i, report.min_len, report.max_len, report.elasticity, ok)
-        )
-    return rows
+        lengths = frozenset({1} if i == 1 else range(2, i + 1))
+        lo, hi = min(lengths), max(lengths)
+        ok = report.is_atomic and (
+            report.atomic_lengths, report.min_len, report.max_len, report.elasticity
+        ) == (lengths, lo, hi, Fraction(hi, lo))
+        rows.append(SequenceRow(i, report.min_len, report.max_len, report.elasticity, ok))
+    return rows[::-1]
 
 
 @dataclass

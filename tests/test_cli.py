@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from taufact import cli, engine, quotient, verify
+from taufact import cli, engine, predictors, quotient, verify
 from taufact.cli import main
 from taufact.engine import ElasticityReport
+from taufact.errors import BudgetExceeded
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -193,6 +194,19 @@ def test_sequence_budget_error_for_large_i(runner):
     assert json.loads(result.output)["error"] == "budget_exceeded"
 
 
+def test_main_sequence_meets_the_budget_at_its_largest_row(monkeypatch):
+    real, calls = verify.elasticity, []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(verify, "elasticity", counting)
+    with pytest.raises(BudgetExceeded, match="^16 primes exceed the budget of 14$"):
+        verify.run_main_sequence(8)
+    assert calls == [predictors.sequence_element(8)]
+
+
 def test_verify_main(runner):
     result = run(runner, "verify", "main", "--max-i", "4")
     assert result.exit_code == 0
@@ -254,6 +268,21 @@ def test_verify_main_reports_a_failing_row(runner, monkeypatch):
     lines = _assert_suite_fails(runner, ("verify", "main", "--max-i", "4"))
     assert [line.split()[0] for line in lines[:-1]] == ["ok", "ok", "FAIL", "ok"]
     assert lines[2] == "FAIL i=3 min=2 max=4 elasticity=3/2"
+
+
+def test_verify_main_checks_the_whole_length_set(runner, monkeypatch):
+    real = verify.elasticity
+
+    def without_three(fe, ideal, budget):
+        report = real(fe, ideal, budget)
+        if fe.total_multiplicity == 8:  # i = 4: lengths {2, 3, 4}
+            return replace(report, atomic_lengths=report.atomic_lengths - {3})
+        return report
+
+    monkeypatch.setattr(verify, "elasticity", without_three)
+    lines = _assert_suite_fails(runner, ("verify", "main", "--max-i", "4"))
+    assert [line.split()[0] for line in lines[:-1]] == ["ok", "ok", "ok", "FAIL"]
+    assert lines[3] == "FAIL i=4 min=2 max=4 elasticity=2/1"
 
 
 def test_verify_hfd_z_small_reports_a_failing_modulus(runner, monkeypatch):

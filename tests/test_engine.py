@@ -175,8 +175,18 @@ def test_listing_candidate_cap_fires_above_the_kernel_cap():
     assert len(enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=66))) == 22
     assert elasticity(fe, ideal, EnumerationBudget(max_partitions=36)).factorization_count != 1
     for cap in (36, 65):
-        with pytest.raises(BudgetExceeded, match=f"^partition budget of {cap} exhausted$"):
+        with pytest.raises(BudgetExceeded, match=f"^66 listing steps exceed the budget of {cap}$"):
             enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=cap))
+
+
+def test_listing_applies_its_own_cap_before_listing(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the listing started over its cap")
+
+    monkeypatch.setattr(engine, "vector_partitions", unreachable)
+    fe, ideal = z_factored((2, 8)), Ideal(Ring.Z, 1)
+    with pytest.raises(BudgetExceeded, match="^66 listing steps exceed the budget of 65$"):
+        enumerate_tau_factorizations(fe, ideal, EnumerationBudget(max_partitions=65))
 
 
 def test_listing_that_drops_a_partition_fails_its_count_check(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from taufact.engine import (
     DEFAULT_BUDGET,
     EnumerationBudget,
+    _Context,
     elasticity,
     enumerate_tau_factorizations,
 )
@@ -22,6 +23,8 @@ from taufact.poly import Poly
 from taufact.quotient import Ideal
 from taufact.rings import Element, Ring, build_factored
 from taufact.verify import SUITE_IDEALS
+
+from walk_count import walk_calls
 
 Z_PRIMES = [Element.integer(p) for p in (2, 3, 5, 7, 11, 13, 17)]
 ZX_PRIMES = [
@@ -64,6 +67,37 @@ def test_kernel_counts_what_the_enumerator_lists(case):
     atomic = [tf for tf in listed if all(single[b] for b in tf.blocks)]
     assert report.atomic_count == len(atomic)
     assert report.atomic_lengths == frozenset(tf.length for tf in atomic)
+
+
+def listing_steps(fe, ideal):
+    """The listing's bound, the kernel's count of nonempty multisets of one
+    class's blocks that fit under the vector, and the number of classes."""
+    groups, total = _Context(fe, ideal, DEFAULT_BUDGET).pass1()
+    return sum(total.values()) - len(groups), len(groups)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(censuses())
+def test_walk_examines_at_most_the_listing_steps(case):
+    fe, ideal = case
+    steps, classes = listing_steps(fe, ideal)
+    with walk_calls() as calls:
+        enumerate_tau_factorizations(fe, ideal)
+    assert len(calls) - classes <= steps
+
+
+def test_listing_steps_on_the_worked_examples():
+    # 2^8 modulo 1: one class, whose multisets are the 66 partitions of
+    # 1..8; the walk examines each of them once, so the bound is tight.
+    fe, ideal = z_element(*[2] * 8), Ideal(Ring.Z, 1)
+    with walk_calls() as calls:
+        enumerate_tau_factorizations(fe, ideal)
+    assert listing_steps(fe, ideal) == (66, 1)
+    assert len(calls) - 1 == 66
+    # Ten distinct primes modulo 1 bound 678,569 steps; the walk examines
+    # 231,949 blocks (test_walk_examines_only_parts_that_fit).
+    ten = z_element(2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert listing_steps(ten, ideal) == (678_569, 1)
 
 
 @pytest.mark.parametrize(
@@ -119,8 +153,9 @@ DECIDERS = (enumerate_tau_factorizations, elasticity)
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(censuses(), censuses(), st.integers(3, 14), st.integers(1, 800))
-# 2^8 mod 1 takes 36 kernel steps, so a cap of 36 stops only its listing;
-# 2^4 3^4 mod 1 takes 200, so a cap of 199 stops its kernel.
+# 2^8 mod 1 takes 36 kernel steps and 66 listing steps, so a cap of 36
+# stops only its listing; 2^4 3^4 mod 1 takes 200 kernel steps, so a cap of
+# 199 stops its kernel.
 @example((z_element(*[2] * 8), Ideal(Ring.Z, 1)), (z_element(3), Ideal(Ring.Z, 5)), 8, 36)
 @example((z_element(2, 2, 2, 2, 3, 3, 3, 3), Ideal(Ring.Z, 1)), (z_element(3), Ideal(Ring.Z, 5)), 8, 199)
 def test_budget_outcome_carries_over_nothing(case, other, max_primes, max_partitions):

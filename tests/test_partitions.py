@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from taufact.errors import BudgetExceeded
 from taufact.partitions import vector_partitions
 
 from naive_oracle import naive_set_partitions
+from walk_count import walk_calls
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 INTEGER_PARTITIONS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
@@ -22,7 +22,7 @@ def item_partitions(items):
     with every part expanded back into a tuple of items."""
     distinct = sorted(set(items))
     vector = tuple(items.count(item) for item in distinct)
-    for parts in vector_partitions(vector, one_class(vector), None):
+    for parts in vector_partitions(vector, one_class(vector)):
         yield tuple(
             tuple(item for item, mult in zip(distinct, part) for _ in range(mult))
             for part in parts
@@ -30,7 +30,7 @@ def item_partitions(items):
 
 
 def test_example_aab():
-    assert list(vector_partitions((2, 1), one_class((2, 1)), None)) == [
+    assert list(vector_partitions((2, 1), one_class((2, 1)))) == [
         ((2, 1),),
         ((2, 0), (0, 1)),
         ((1, 1), (1, 0)),
@@ -39,17 +39,17 @@ def test_example_aab():
 
 
 def test_single_item():
-    assert list(vector_partitions((1,), one_class((1,)), None)) == [((1,),)]
+    assert list(vector_partitions((1,), one_class((1,)))) == [((1,),)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_distinct_items_count_is_bell(n):
-    assert sum(1 for _ in vector_partitions((1,) * n, one_class((1,) * n), None)) == BELL[n]
+    assert sum(1 for _ in vector_partitions((1,) * n, one_class((1,) * n))) == BELL[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_identical_items_count_is_integer_partitions(n):
-    assert sum(1 for _ in vector_partitions((n,), one_class((n,)), None)) == INTEGER_PARTITIONS[n]
+    assert sum(1 for _ in vector_partitions((n,), one_class((n,)))) == INTEGER_PARTITIONS[n]
 
 
 @pytest.mark.parametrize(
@@ -76,7 +76,7 @@ def test_matches_naive_enumeration(items):
 
 def test_no_duplicate_partitions():
     seen = set()
-    for partition in vector_partitions((2, 2, 1), one_class((2, 2, 1)), None):
+    for partition in vector_partitions((2, 2, 1), one_class((2, 2, 1))):
         canon = tuple(sorted(partition))
         assert canon not in seen
         seen.add(canon)
@@ -91,18 +91,18 @@ def test_every_partition_covers_the_multiset():
 
 
 def test_deterministic_order():
-    first = list(vector_partitions((2, 2), one_class((2, 2)), None))
-    second = list(vector_partitions((2, 2), one_class((2, 2)), None))
+    first = list(vector_partitions((2, 2), one_class((2, 2))))
+    second = list(vector_partitions((2, 2), one_class((2, 2))))
     assert first == second
 
 
 def test_trivial_partition_comes_first():
-    partitions = vector_partitions((1, 2, 1), one_class((1, 2, 1)), None)
+    partitions = vector_partitions((1, 2, 1), one_class((1, 2, 1)))
     assert next(iter(partitions)) == ((1, 2, 1),)
 
 
 def test_leading_zero_coordinates():
-    assert list(vector_partitions((0, 1, 1), one_class((0, 1, 1)), None)) == [
+    assert list(vector_partitions((0, 1, 1), one_class((0, 1, 1)))) == [
         ((0, 1, 1),),
         ((0, 1, 0), (0, 0, 1)),
     ]
@@ -122,79 +122,26 @@ def test_classes_keep_exactly_the_one_class_partitions():
         classes: dict = {}
         for part in one_class(vector)[0]:
             classes.setdefault(key(part), []).append(part)
-        everything = vector_partitions(vector, one_class(vector), None)
+        everything = vector_partitions(vector, one_class(vector))
         expected = [ps for ps in everything if len({key(p) for p in ps}) == 1]
-        listed = list(vector_partitions(vector, list(classes.values()), None))
+        listed = list(vector_partitions(vector, list(classes.values())))
         assert sorted(listed) == sorted(expected)
         for k in classes:
             within = [ps for ps in listed if key(ps[0]) == k]
             assert within == sorted(within, reverse=True)
 
 
-def test_budget_enforced():
-    with pytest.raises(BudgetExceeded):
-        list(vector_partitions((1,) * 6, one_class((1,) * 6), 10))
-
-
-def test_budget_counts_parts_examined_not_partitions_yielded():
-    # Every part is its own class: only the trivial partition is yielded, yet
-    # the search examines once each part that holds the first coordinate.
-    vector = (1,) * 5
-    singletons = [[part] for part in one_class(vector)[0]]
-    assert list(vector_partitions(vector, singletons, None)) == [(vector,)]
-    cap = sum(1 for [part] in singletons if part[0])
-    assert cap > 1
-    assert len(list(vector_partitions(vector, singletons, cap))) == 1
-    with pytest.raises(BudgetExceeded):
-        list(vector_partitions(vector, singletons, cap - 1))
-
-
-def _candidates_examined(vector, classes):
-    cap = 1
-    while True:
-        try:
-            list(vector_partitions(vector, classes, cap))
-            return cap
-        except BudgetExceeded:
-            cap += 1
-
-
-def test_budget_is_shared_across_classes():
-    # Each class alone stays under the cap; the two together exceed it.
-    vector = (2, 2)
-    parts = one_class(vector)[0]
-    classes = [[p for p in parts if sum(p) % 2], [p for p in parts if not sum(p) % 2]]
-    alone = [_candidates_examined(vector, [parts]) for parts in classes]
-    cap = max(alone)
-    assert cap < sum(alone)
-    with pytest.raises(BudgetExceeded):
-        list(vector_partitions(vector, classes, cap))
-
-
-def test_budget_counts_only_parts_that_fit():
-    # Ten distinct items in one class: the candidates are the sub-vectors of
+def test_walk_examines_only_parts_that_fit():
+    # Ten distinct items in one class: the walk examines the sub-vectors of
     # what remains that hold its first item and are no larger than the
     # previous part, 231,949 for the Bell(10) = 115,975 partitions.  Parts
-    # of the class that do not fit in what remains are neither walked nor
-    # counted.
+    # of the class that do not fit in what remains are not walked.
     vector = (1,) * 10
-    classes = one_class(vector)
-    assert sum(1 for _ in vector_partitions(vector, classes, 231_949)) == 115_975
-    with pytest.raises(BudgetExceeded):
-        for _ in vector_partitions(vector, classes, 231_948):
-            pass
-
-
-def test_budget_is_lazy():
-    gen = vector_partitions((1,) * 6, one_class((1,) * 6), 10)
-    yielded = []
-    with pytest.raises(BudgetExceeded):
-        for partition in gen:
-            yielded.append(partition)
-    assert 0 < len(yielded) < BELL[6]
-    assert yielded == list(vector_partitions((1,) * 6, one_class((1,) * 6), None))[: len(yielded)]
+    with walk_calls() as calls:
+        assert sum(1 for _ in vector_partitions(vector, one_class(vector))) == 115_975
+    assert len(calls) - 1 == 231_949
 
 
 def test_vector_partitions_rejects_empty():
     with pytest.raises(ValueError):
-        list(vector_partitions((0, 0), one_class((0, 0)), None))
+        list(vector_partitions((0, 0), one_class((0, 0))))
