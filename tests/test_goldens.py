@@ -34,6 +34,10 @@ FACT_X2PX = (
     "factorizations", "--ideal", "2, x^2+x", "--primes", "x:3, x+1:3", "--unit", "-1",
 )
 FACT_Z4 = ("factorizations", "--ring", "z", "--ideal", "4", "--primes", "2:2, 3:2, 5:1")
+# Repeated, quadratic and cubic primes: blocks recur across factorizations.
+FACT_3_X2P1 = (
+    "factorizations", "--ideal", "3, x^2+1", "--primes", "x:2, x+1:2, x^2+x+1:1, x^3+x+1:1",
+)
 ELAST_X2PX = ("elasticity", "--ideal", "2, x^2+x", "--primes", "x:3, x+1:3")
 LEMMA4 = ("verify", "lemma4", "--samples", "40", "--seed", "11")
 SEQUENCE = ("sequence", "--max-i", "7")
@@ -52,9 +56,14 @@ CASES = {
     "factorizations_z3_csv": ("csv", FACT_Z3),
     "factorizations_z3_json": ("json", FACT_Z3),
     "factorizations_x2px_unit": ("text", FACT_X2PX),
+    "factorizations_x2px_unit_csv": ("csv", FACT_X2PX),
     "factorizations_x2px_unit_json": ("json", FACT_X2PX),
     "factorizations_z4": ("text", FACT_Z4),
+    "factorizations_z4_csv": ("csv", FACT_Z4),
     "factorizations_z4_json": ("json", FACT_Z4),
+    "factorizations_3_x2p1": ("text", FACT_3_X2P1),
+    "factorizations_3_x2p1_csv": ("csv", FACT_3_X2P1),
+    "factorizations_3_x2p1_json": ("json", FACT_3_X2P1),
     "elasticity_x2px": ("text", ELAST_X2PX),
     "elasticity_x2px_csv": ("csv", ELAST_X2PX),
     "elasticity_x2px_json": ("json", ELAST_X2PX),
