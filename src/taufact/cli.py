@@ -5,10 +5,10 @@ verify.  One runner, ``_command``, registers each of them and adds its
 ``--format`` option.  A command body returns ``(inputs, result, text, csv,
 ok)``: the canonical inputs and the result payload of the json run record,
 the text and csv lines, and the verdict.  The runner times the body and
-prints text (default), csv, or the json record, which echoes the command,
-library version and canonical inputs; timing lives in a separate json
-field and never inside result payloads, so text and csv output is
-byte-stable across runs.
+prints text (default), csv, or the json record, each in one write; the
+record echoes the command, library version and canonical inputs.  Timing
+lives in a separate json field and never inside result payloads, so text
+and csv output is byte-stable across runs.
 
 Exit status: 0 on success, 1 on domain errors (the runner prints a
 machine-readable error object on stdout) and when a verdict fails, 2 on
@@ -72,8 +72,7 @@ def _command(name: str):
                 }
                 click.echo(json.dumps(record, indent=2))
             else:
-                for line in csv if fmt == "csv" else text:
-                    click.echo(line)
+                click.echo("\n".join(csv if fmt == "csv" else text))
             if not ok:
                 sys.exit(1)
 
@@ -203,30 +202,34 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget):
     """Every tau-factorization of a factored element, with sign witnesses
     and per-block atom flags."""
     inputs, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
-    payload = []
+    # The listing shares one block object among the factorizations it
+    # recurs in, so each is rendered once.  Names are keyed by id, which
+    # needs no hash of the block; the listing keeps every block alive, so
+    # no id is reused.
+    names: dict = {}
+    payload, shown, text = [], [], []
     for tf in enumerate_tau_factorizations(fe, ideal, budget):
+        blocks = [names.get(id(b)) or names.setdefault(id(b), str(expand(b))) for b in tf.blocks]
+        atomic = all(tf.atomic)
         payload.append(
             {
                 "lambda": tf.lam,
-                "blocks": [str(expand(b)) for b in tf.blocks],
+                "blocks": blocks,
                 "signs": list(tf.signs),
                 "length": tf.length,
                 "blocks_atomic": list(tf.atomic),
-                "atomic": all(tf.atomic),
+                "atomic": atomic,
             }
         )
+        # Text and CSV show signs as +/- and the atomic flag as yes/no.
+        signs, flag = ["+" if s > 0 else "-" for s in tf.signs], "yes" if atomic else "no"
+        shown.append({"lambda": tf.lam, "length": tf.length, "blocks": blocks, "signs": signs, "atomic": flag})
+        text.append(
+            f"lambda={tf.lam:+d} length={tf.length} blocks=[{', '.join(blocks)}] "
+            f"signs=[{','.join(signs)}] atomic={flag}"
+        )
     result = {"count": len(payload), "factorizations": payload}
-    # Text and CSV show signs as +/- and the atomic flag as yes/no.
-    shown = [
-        {**row, "signs": ["+" if s > 0 else "-" for s in row["signs"]],
-         "atomic": "yes" if row["atomic"] else "no"}
-        for row in payload
-    ]
-    text = [f"count: {len(payload)}"] + [
-        f"lambda={r['lambda']:+d} length={r['length']} blocks=[{', '.join(r['blocks'])}] "
-        f"signs=[{','.join(r['signs'])}] atomic={r['atomic']}"
-        for r in shown
-    ]
+    text.insert(0, f"count: {len(payload)}")
     return inputs, result, text, _csv(shown, FACTORIZATION_COLUMNS), True
 
 

@@ -18,7 +18,9 @@ reproducible.
 
 Only residues decide the classes, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
-residue; no block product is expanded until a yielded partition is sorted.
+residue.  The listing keeps one row per distinct block the walk meets: its
+product, built the same way from a smaller block's product, gives the sort
+key, and every partition only looks its rows up.
 The listing runs the counting kernel below first and walks the sub-vectors
 it grouped by class; the kernel's counts bound the walk before it starts,
 flag each block as a tau-atom or not, and its count of the whole must equal
@@ -40,12 +42,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from operator import itemgetter
 from typing import Optional
 
 from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
 from .quotient import Ideal, Residue, reduce, residue_ops
-from .rings import FactoredElement, expand
+from .rings import FactoredElement
 
 
 @dataclass(frozen=True)
@@ -215,21 +218,33 @@ def enumerate_tau_factorizations(
     steps = sum(total.values()) - len(groups)
     if steps > budget.max_partitions:
         raise BudgetExceeded(f"{steps} listing steps exceed the budget of {budget.max_partitions}")
-    sort_keys: dict = {}  # blocks recur across partitions
+    # Blocks recur across partitions, so each distinct part gets one row:
+    # (sort key of its product, block, residue, atom flag).  A product is
+    # built like a residue, from the part without one copy of its first
+    # prime times that prime, and kept for this call only.
+    products: dict = {}
+
+    def product_of(part):
+        value = products.get(part)
+        if value is None:
+            lead = next(i for i, mult in enumerate(part) if mult)
+            value = ctx.primes[lead]
+            if sum(part) > 1:
+                value = product_of(part[:lead] + (part[lead] - 1,) + part[lead + 1:]) * value
+            products[part] = value
+        return value
+
+    rows: dict = {}
     found = []
     for partition in vector_partitions(ctx.vector, groups):
         for p in partition:
-            if p not in sort_keys:
-                sort_keys[p] = expand(ctx.block(p)).sort_key
+            if p not in rows:
+                rows[p] = (product_of(p).sort_key, ctx.block(p), ctx.residue(p), total[ctx.pack(p)] == 1)
         # Sorting fixes which block leads, hence the witness.
-        parts = sorted(partition, key=sort_keys.__getitem__)
-        lead = ctx.residue(parts[0])
-        signs = tuple(1 if ctx.residue(p) == lead else -1 for p in parts)
+        keys, blocks, residues, atomic = zip(*sorted(map(rows.__getitem__, partition), key=itemgetter(0)))
+        signs = tuple(1 if r == residues[0] else -1 for r in residues)
         lam = fe.unit * prod(signs)
-        blocks = tuple(ctx.block(p) for p in parts)
-        atomic = tuple(total[ctx.pack(p)] == 1 for p in parts)
-        key = (len(parts), tuple(sort_keys[p] for p in parts))
-        found.append((key, TauFactorization(lam, blocks, signs, atomic)))
+        found.append(((len(keys), keys), TauFactorization(lam, blocks, signs, atomic)))
     found.sort(key=lambda item: item[0])
     counted = total[ctx.pack(ctx.vector)]
     if len(found) != counted:

@@ -14,7 +14,6 @@ that lives with the residues in ``taufact.quotient``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -83,13 +82,6 @@ class Poly:
             return self.coeffs[power]
         return 0
 
-    def evaluate(self, point):
-        """Exact evaluation via Horner; accepts int or Fraction."""
-        acc = point * 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
     @property
     def sort_key(self) -> tuple:
         """Total order: by degree, then coefficients from leading down."""
@@ -156,19 +148,28 @@ def convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 
 def has_rational_root(p: Poly) -> bool:
-    """Rational-root test: candidates are ±(divisors of the constant term)
-    over (divisors of the leading coefficient)."""
+    """Rational-root test: candidates are ±num/den in lowest terms, num
+    dividing the constant term and den the leading coefficient.  A
+    candidate is a root exactly when den^deg * p(num/den), an integer, is
+    zero; Horner computes it on ints."""
     if p.is_zero:
         return True
     if p.constant_coefficient == 0:
         return p.degree >= 1
     num_divs = _divisors(abs(p.constant_coefficient))
     den_divs = _divisors(abs(p.leading_coefficient))
+    high_first = p.coeffs[::-1]
     for num in num_divs:
         for den in den_divs:
-            cand = Fraction(num, den)
-            if p.evaluate(cand) == 0 or p.evaluate(-cand) == 0:
-                return True
+            if gcd(num, den) != 1:
+                continue
+            for top in (num, -num):
+                acc, scale = 0, 1
+                for c in high_first:  # acc = sum c_i top^(i-k) den^(deg-i), i >= k
+                    acc = acc * top + c * scale
+                    scale *= den
+                if acc == 0:
+                    return True
     return False
 
 

@@ -155,6 +155,24 @@ def test_factorizations_builds_one_context(runner, monkeypatch):
         assert len(built) == 1
 
 
+@pytest.mark.parametrize("fmt,golden", [("text", ""), ("csv", "_csv")])
+def test_factorizations_are_written_at_once(runner, monkeypatch, fmt, golden):
+    writes = []
+    echo = cli.click.echo
+
+    def counting(*args, **kwargs):
+        writes.append(args)
+        return echo(*args, **kwargs)
+
+    monkeypatch.setattr(cli.click, "echo", counting)
+    result = run(
+        runner, "factorizations", "--ideal", "3, x^2+1",
+        "--primes", "x:2, x+1:2, x^2+x+1:1, x^3+x+1:1", "--format", fmt,
+    )
+    assert len(writes) == 1
+    assert result.output == (GOLDENS / f"factorizations_3_x2p1{golden}.txt").read_text()
+
+
 def test_factorizations_text_golden(runner):
     args = ("factorizations", "--ring", "z", "--ideal", "3", "--primes", "2:2, 7:1")
     first = run(runner, *args)

@@ -8,6 +8,8 @@ only the residue arithmetic, so their agreement checks both; here each
 block's flag is checked against a listing of the block itself.
 """
 
+from math import prod
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,8 +22,8 @@ from taufact.engine import (
 )
 from taufact.errors import BudgetExceeded
 from taufact.poly import Poly
-from taufact.quotient import Ideal
-from taufact.rings import Element, Ring, build_factored
+from taufact.quotient import Ideal, reduce
+from taufact.rings import Element, Ring, build_factored, expand
 from taufact.verify import SUITE_IDEALS
 
 from walk_count import walk_calls
@@ -67,6 +69,23 @@ def test_kernel_counts_what_the_enumerator_lists(case):
     atomic = [tf for tf in listed if all(single[b] for b in tf.blocks)]
     assert report.atomic_count == len(atomic)
     assert report.atomic_lengths == frozenset(tf.length for tf in atomic)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(censuses())
+def test_listing_order_and_signs_follow_from_the_block_products(case):
+    """Block order, listing order and sign witnesses, recomputed from each
+    block's expanded product and its residue alone."""
+    fe, ideal = case
+    listed = enumerate_tau_factorizations(fe, ideal)
+    keys = [tuple(expand(b).sort_key for b in tf.blocks) for tf in listed]
+    assert all(list(k) == sorted(k) for k in keys)
+    order = [(len(k), k) for k in keys]
+    assert all(a < b for a, b in zip(order, order[1:]))
+    for tf in listed:
+        residues = [reduce(expand(b), ideal) for b in tf.blocks]
+        assert tf.signs == tuple(1 if r == residues[0] else -1 for r in residues)
+        assert tf.lam == fe.unit * prod(tf.signs)
 
 
 def listing_steps(fe, ideal):

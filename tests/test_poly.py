@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,12 +102,6 @@ def test_remainder_agrees_with_long_division(a, g, m):
     expected = Poly(tuple(c % m for c in r.coeffs)) if m else r
     assert remainder(list(a.coeffs), g.coeffs, m) == expected
     assert remainder(list(a.coeffs), None, m) == (Poly(tuple(c % m for c in a.coeffs)) if m else a)
-
-
-def test_evaluate_exact():
-    p = Poly((-2, 0, 1))
-    assert p.evaluate(5) == 23
-    assert p.evaluate(Fraction(1, 2)) == Fraction(-7, 4)
 
 
 def test_content():
