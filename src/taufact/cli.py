@@ -2,13 +2,16 @@
 
 Subcommands: reduce, classify, factorizations, elasticity, sequence,
 verify.  One runner, ``_command``, registers each of them and adds its
-``--format`` option.  A command body returns ``(inputs, result, text, csv,
-ok)``: the canonical inputs and the result payload of the json run record,
-the text and csv lines, and the verdict.  The runner times the body and
-prints text (default), csv, or the json record, each in one write; the
+``--format`` option.  A command body does the command's work and returns
+``(inputs, result, text, csv, ok)``: the canonical inputs of the json run
+record, three zero-argument functions that render the result payload, the
+text lines and the csv lines, and the verdict.  The runner calls only the
+function that ``--format`` selects, so a run builds just the output it
+prints: text (default), csv, or the json record, each in one write; the
 record echoes the command, library version and canonical inputs.  Timing
-lives in a separate json field and never inside result payloads, so text
-and csv output is byte-stable across runs.
+covers the body and the rendering, and lives in a separate json field and
+never inside result payloads, so text and csv output is byte-stable across
+runs.
 
 Exit status: 0 on success, 1 on domain errors (the runner prints a
 machine-readable error object on stdout) and when a verdict fails, 2 on
@@ -32,7 +35,7 @@ from . import __version__
 from .engine import DEFAULT_BUDGET, EnumerationBudget, elasticity, enumerate_tau_factorizations
 from .errors import TaufactError, UnsupportedDegree
 from .quotient import Ideal, cayley_table, classify, reduce
-from .rings import Ring, build_factored, expand, load_registry
+from .rings import Ring, build_factored, load_registry
 from .syntax import parse_element, parse_ideal, parse_primes_spec, render_primes_spec
 from .verify import (
     HALF_FACTORIAL_MODULI,
@@ -51,7 +54,8 @@ def main():
 
 def _command(name: str):
     """Register ``body`` as subcommand ``name`` with a trailing --format
-    option, and print what it returns as text, csv or the json record."""
+    option, and print the one rendering of its result that --format selects:
+    text, csv or the json record."""
 
     def register(body):
         @functools.wraps(body)
@@ -67,12 +71,12 @@ def _command(name: str):
                     "command": name,
                     "version": __version__,
                     "inputs": inputs,
-                    "result": result,
+                    "result": result(),
                     "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
                 }
                 click.echo(json.dumps(record, indent=2))
             else:
-                click.echo("\n".join(csv if fmt == "csv" else text))
+                click.echo("\n".join((csv if fmt == "csv" else text)()))
             if not ok:
                 sys.exit(1)
 
@@ -146,7 +150,7 @@ def cmd_reduce(ring, ideal_text, elem_text):
     elem = parse_element(elem_text, rng)
     residue = str(reduce(elem, ideal))
     inputs = {"ring": rng.value, "ideal": str(ideal), "elem": str(elem)}
-    return inputs, {"residue": residue}, [residue], ["residue", residue], True
+    return inputs, lambda: {"residue": residue}, lambda: [residue], lambda: ["residue", residue], True
 
 
 @_command("classify")
@@ -162,12 +166,17 @@ def cmd_classify(ring, ideal_text):
     rows = [[reps[k] for k in row] for row in table.product]
     inputs = {"ring": rng.value, "ideal": str(ideal)}
     counts = _record(fingerprint)
-    result = {"iso_class": iso_class.value, "fingerprint": counts, "residues": reps, "cayley": rows}
     grid = [["*", *reps]] + [[rep, *row] for rep, row in zip(reps, rows)]
-    width = max(len(s) for s in grid[0]) + 2
-    text = [f"iso_class: {iso_class.value}", *(f"{key}: {value}" for key, value in counts.items())]
-    text += ["cayley:", *("".join(s.rjust(width) for s in line) for line in grid)]
-    return inputs, result, text, [",".join(line) for line in grid], True
+
+    def text():
+        width = max(len(s) for s in grid[0]) + 2
+        lines = [f"iso_class: {iso_class.value}", *(f"{key}: {value}" for key, value in counts.items())]
+        return lines + ["cayley:", *("".join(s.rjust(width) for s in line) for line in grid)]
+
+    def result():
+        return {"iso_class": iso_class.value, "fingerprint": counts, "residues": reps, "cayley": rows}
+
+    return inputs, result, text, lambda: [",".join(line) for line in grid], True
 
 
 def _parse_factored(ring, ideal_text, primes_text, unit):
@@ -202,35 +211,46 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget):
     """Every tau-factorization of a factored element, with sign witnesses
     and per-block atom flags."""
     inputs, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
-    # The listing shares one block object among the factorizations it
+    listing = enumerate_tau_factorizations(fe, ideal, budget)
+    # The listing shares one product object among the factorizations a block
     # recurs in, so each is rendered once.  Names are keyed by id, which
-    # needs no hash of the block; the listing keeps every block alive, so
-    # no id is reused.
+    # needs no hash of the product; the listing keeps every product alive,
+    # so no id is reused.
     names: dict = {}
-    payload, shown, text = [], [], []
-    for tf in enumerate_tau_factorizations(fe, ideal, budget):
-        blocks = [names.get(id(b)) or names.setdefault(id(b), str(expand(b))) for b in tf.blocks]
-        atomic = all(tf.atomic)
-        payload.append(
+
+    def blocks(tf):
+        return [names.get(id(p)) or names.setdefault(id(p), str(p)) for p in tf.products]
+
+    def result():
+        payload = [
             {
                 "lambda": tf.lam,
-                "blocks": blocks,
+                "blocks": blocks(tf),
                 "signs": list(tf.signs),
                 "length": tf.length,
                 "blocks_atomic": list(tf.atomic),
-                "atomic": atomic,
+                "atomic": all(tf.atomic),
             }
-        )
-        # Text and CSV show signs as +/- and the atomic flag as yes/no.
-        signs, flag = ["+" if s > 0 else "-" for s in tf.signs], "yes" if atomic else "no"
-        shown.append({"lambda": tf.lam, "length": tf.length, "blocks": blocks, "signs": signs, "atomic": flag})
-        text.append(
-            f"lambda={tf.lam:+d} length={tf.length} blocks=[{', '.join(blocks)}] "
-            f"signs=[{','.join(signs)}] atomic={flag}"
-        )
-    result = {"count": len(payload), "factorizations": payload}
-    text.insert(0, f"count: {len(payload)}")
-    return inputs, result, text, _csv(shown, FACTORIZATION_COLUMNS), True
+            for tf in listing
+        ]
+        return {"count": len(payload), "factorizations": payload}
+
+    def shown():
+        """The rows of text and CSV, which show signs as +/- and the atomic
+        flag as yes/no."""
+        for tf in listing:
+            signs = ["+" if s > 0 else "-" for s in tf.signs]
+            atomic = "yes" if all(tf.atomic) else "no"
+            yield {"lambda": tf.lam, "length": tf.length, "blocks": blocks(tf), "signs": signs, "atomic": atomic}
+
+    def text():
+        return [f"count: {len(listing)}"] + [
+            f"lambda={r['lambda']:+d} length={r['length']} blocks=[{', '.join(r['blocks'])}] "
+            f"signs=[{','.join(r['signs'])}] atomic={r['atomic']}"
+            for r in shown()
+        ]
+
+    return inputs, result, text, lambda: _csv(shown(), FACTORIZATION_COLUMNS), True
 
 
 @_command("elasticity")
@@ -243,8 +263,11 @@ def cmd_elasticity(ring, ideal_text, primes_text, unit, budget):
     """Exact tau-elasticity of a factored element."""
     inputs, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
     result = _record(elasticity(fe, ideal, budget))
-    text = [f"{key}: {value}" for key, value in result.items()]
-    return inputs, result, text, _csv([result], list(result)), True
+
+    def text():
+        return [f"{key}: {value}" for key, value in result.items()]
+
+    return inputs, lambda: result, text, lambda: _csv([result], list(result)), True
 
 
 SEQUENCE_COLUMNS = ("i", "min_len", "max_len", "elasticity")
@@ -257,8 +280,13 @@ def cmd_sequence(max_i, budget):
     """Oracle elasticity table for x^i (x+1)^i under (2, x^2+x)."""
     records = [_record(r) for r in run_main_sequence(max_i, budget)]
     inputs = {"max_i": max_i, "ideal": str(SUITE_IDEALS["lemma4"])}
-    result = {"rows": [{c: record[c] for c in SEQUENCE_COLUMNS} for record in records]}
-    lines = _csv(records, SEQUENCE_COLUMNS)
+
+    def result():
+        return {"rows": [{c: record[c] for c in SEQUENCE_COLUMNS} for record in records]}
+
+    def lines():
+        return _csv(records, SEQUENCE_COLUMNS)
+
     return inputs, result, lines, lines, True
 
 
@@ -322,10 +350,13 @@ def cmd_verify(suite, samples, seed, max_i, bound, budget):
     # main and hfd-z-small list their rows before "pass"; a predictor suite
     # prints its counts before "pass" and lists its cases after it.
     before, after = (counts, {key: records}) if counts else ({key: records}, {})
-    result = {**before, "pass": ok, **after}
-    text = [f"{'ok' if r['ok'] else 'FAIL'} {describe(r)}" for r in records]
-    text.append(" ".join([f"suite={suite}", *(f"{k}={v}" for k, v in tally.items()), f"pass={ok}"]))
-    return inputs, result, text, _csv(records, columns), ok
+
+    def text():
+        lines = [f"{'ok' if r['ok'] else 'FAIL'} {describe(r)}" for r in records]
+        summary = [f"suite={suite}", *(f"{k}={v}" for k, v in tally.items()), f"pass={ok}"]
+        return lines + [" ".join(summary)]
+
+    return inputs, lambda: {**before, "pass": ok, **after}, text, lambda: _csv(records, columns), ok
 
 
 if __name__ == "__main__":

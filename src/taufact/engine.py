@@ -20,7 +20,9 @@ Only residues decide the classes, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
 residue.  The listing keeps one row per distinct block the walk meets: its
 product, built the same way from a smaller block's product, gives the sort
-key, and every partition only looks its rows up.
+key, and every partition only looks its rows up.  Each factorization also
+carries its blocks' products, so a caller that prints them multiplies
+nothing out again.
 The listing runs the counting kernel below first and walks the sub-vectors
 it grouped by class; the kernel's counts bound the walk before it starts,
 flag each block as a tau-atom or not, and its count of the whole must equal
@@ -48,7 +50,7 @@ from typing import Optional
 from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
 from .quotient import Ideal, Residue, reduce, residue_ops
-from .rings import FactoredElement
+from .rings import Element, FactoredElement
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,17 @@ DEFAULT_BUDGET = EnumerationBudget()
 @dataclass(frozen=True)
 class TauFactorization:
     """One factorization: unit lambda, canonically ordered blocks, a sign
-    witness proving pairwise congruence of the signed blocks, and whether
-    each block is a tau-atom.  The listing fills ``atomic``; a hand-built
-    factorization carries no flags."""
+    witness proving pairwise congruence of the signed blocks, whether each
+    block is a tau-atom, and each block's product, in block order.  The
+    listing fills ``atomic`` and ``products``, sharing one product object
+    among the factorizations a block recurs in; a hand-built factorization
+    carries neither."""
 
     lam: int
     blocks: tuple[FactoredElement, ...]
     signs: tuple[int, ...]
     atomic: tuple[bool, ...] = ()
+    products: tuple[Element, ...] = ()
 
     @property
     def length(self) -> int:
@@ -219,9 +224,10 @@ def enumerate_tau_factorizations(
     if steps > budget.max_partitions:
         raise BudgetExceeded(f"{steps} listing steps exceed the budget of {budget.max_partitions}")
     # Blocks recur across partitions, so each distinct part gets one row:
-    # (sort key of its product, block, residue, atom flag).  A product is
-    # built like a residue, from the part without one copy of its first
-    # prime times that prime, and kept for this call only.
+    # (sort key of its product, product, block, residue, atom flag).  A
+    # product is built like a residue, from the part without one copy of its
+    # first prime times that prime; the row's product is the one object every
+    # factorization holding that block carries in ``products``.
     products: dict = {}
 
     def product_of(part):
@@ -239,12 +245,13 @@ def enumerate_tau_factorizations(
     for partition in vector_partitions(ctx.vector, groups):
         for p in partition:
             if p not in rows:
-                rows[p] = (product_of(p).sort_key, ctx.block(p), ctx.residue(p), total[ctx.pack(p)] == 1)
+                value = product_of(p)
+                rows[p] = (value.sort_key, value, ctx.block(p), ctx.residue(p), total[ctx.pack(p)] == 1)
         # Sorting fixes which block leads, hence the witness.
-        keys, blocks, residues, atomic = zip(*sorted(map(rows.__getitem__, partition), key=itemgetter(0)))
+        keys, values, blocks, residues, atomic = zip(*sorted(map(rows.__getitem__, partition), key=itemgetter(0)))
         signs = tuple(1 if r == residues[0] else -1 for r in residues)
         lam = fe.unit * prod(signs)
-        found.append(((len(keys), keys), TauFactorization(lam, blocks, signs, atomic)))
+        found.append(((len(keys), keys), TauFactorization(lam, blocks, signs, atomic, values)))
     found.sort(key=lambda item: item[0])
     counted = total[ctx.pack(ctx.vector)]
     if len(found) != counted:

@@ -184,7 +184,9 @@ def build_factored(ring: Ring, unit: int, parts, registry: frozenset = frozenset
     """
     if unit not in (1, -1):
         raise ZeroOrUnitInput(f"unit must be +1 or -1, got {unit}")
-    merged: dict[Element, int] = {}
+    # Every factor lies in ``ring``, so equal primes merge by value, which
+    # hashes without the ring: each entry maps a value to (prime, exponent).
+    merged: dict = {}
     for elem, exp in parts:
         if elem.ring is not ring:
             raise RingMismatch(f"factor {elem} does not belong to {ring.value}")
@@ -197,8 +199,9 @@ def build_factored(ring: Ring, unit: int, parts, registry: frozenset = frozenset
             unit = -unit
         if not verify_prime(canon, registry):
             raise NotPrime(canon)
-        merged[canon] = merged.get(canon, 0) + exp
-    ordered = tuple(sorted(merged.items(), key=lambda item: item[0].sort_key))
+        _, seen = merged.get(canon.value, (canon, 0))
+        merged[canon.value] = (canon, seen + exp)
+    ordered = tuple(sorted(merged.values(), key=lambda item: item[0].sort_key))
     return FactoredElement(ring, unit, ordered)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from taufact import cli, engine, predictors, quotient, verify
+from taufact import cli, engine, predictors, quotient, rings, verify
 from taufact.cli import main
 from taufact.engine import ElasticityReport
 from taufact.errors import BudgetExceeded
@@ -171,6 +171,27 @@ def test_factorizations_are_written_at_once(runner, monkeypatch, fmt, golden):
     )
     assert len(writes) == 1
     assert result.output == (GOLDENS / f"factorizations_3_x2p1{golden}.txt").read_text()
+
+
+def test_factorizations_builds_only_the_printed_format(runner, monkeypatch):
+    """The listing carries its block products, so nothing is expanded again,
+    and a run renders only the format it prints."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not needed for the printed format")
+
+    for module in (rings, cli):
+        monkeypatch.setattr(module, "expand", refuse, raising=False)
+    args = (
+        "factorizations", "--ideal", "3, x^2+1",
+        "--primes", "x:2, x+1:2, x^2+x+1:1, x^3+x+1:1",
+    )
+    result = run(runner, *args, "--format", "csv")
+    assert result.output == (GOLDENS / "factorizations_3_x2p1_csv.txt").read_text()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_csv", refuse)
+        result = run(runner, *args)
+    assert result.output == (GOLDENS / "factorizations_3_x2p1.txt").read_text()
 
 
 def test_factorizations_text_golden(runner):

@@ -88,6 +88,15 @@ def test_listing_order_and_signs_follow_from_the_block_products(case):
         assert tf.lam == fe.unit * prod(tf.signs)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(censuses())
+def test_listing_carries_each_block_product(case):
+    fe, ideal = case
+    for tf in enumerate_tau_factorizations(fe, ideal):
+        assert len(tf.products) == tf.length
+        assert all(tf.products[i] == expand(tf.blocks[i]) for i in range(tf.length))
+
+
 def listing_steps(fe, ideal):
     """The listing's bound, the kernel's count of nonempty multisets of one
     class's blocks that fit under the vector, and the number of classes."""
