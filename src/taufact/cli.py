@@ -7,11 +7,11 @@ verify.  One runner, ``_command``, registers each of them and adds its
 record, three zero-argument functions that render the result payload, the
 text lines and the csv lines, and the verdict.  The runner calls only the
 function that ``--format`` selects, so a run builds just the output it
-prints: text (default), csv, or the json record, each in one write; the
-record echoes the command, library version and canonical inputs.  Timing
-covers the body and the rendering, and lives in a separate json field and
-never inside result payloads, so text and csv output is byte-stable across
-runs.
+prints: text (default), csv, or the json record on one line, each in one
+write; the record echoes the command, library version and canonical
+inputs.  Timing covers the body and the rendering, and lives in a separate
+json field and never inside result payloads, so text and csv output is
+byte-stable across runs.
 
 Exit status: 0 on success, 1 on domain errors (the runner prints a
 machine-readable error object on stdout) and when a verdict fails, 2 on
@@ -74,7 +74,7 @@ def _command(name: str):
                     "result": result(),
                     "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
                 }
-                click.echo(json.dumps(record, indent=2))
+                click.echo(json.dumps(record))
             else:
                 click.echo("\n".join((csv if fmt == "csv" else text)()))
             if not ok:

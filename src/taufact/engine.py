@@ -33,9 +33,11 @@ sub-vectors of class K counts the multisets of them summing to each
 sub-vector w of the multiplicity vector; summed over K, that is the number
 of tau-factorizations of w, and w is a tau-atom exactly when it is 1.
 (Not the class of w alone: 2*2 modulo 5 lies in {1, 4}, splits in {2, 3}.)
-A second knapsack per class, over atoms only, gives the atomic
-factorizations' count and lengths.  All public results are canonically
-sorted, so output never depends on exploration order.
+A second knapsack per class, over atoms only, grades its counts by length:
+field n of an entry counts the multisets of n atoms, so the nonzero fields
+of the whole vector's entry are its atomic lengths and their sum its atomic
+count.  All public results are canonically sorted, so output never depends
+on exploration order.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Optional
 
 from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
-from .quotient import Ideal, Residue, reduce, residue_ops
+from .quotient import Ideal, reduce, residue_ops
 from .rings import Element, FactoredElement
 
 
@@ -106,14 +108,13 @@ class ElasticityReport:
 
 class _Context:
     """Per-call state: the prime multiset as a vector, each prime's residue,
-    the ideal's residue product and negation, plus residue and sign-class
-    caches keyed on part-vectors.  The kernel packs a part-vector into one
-    int with a bit field per prime; sums that stay below the vector never
-    carry."""
+    the ideal's residue product and negation, plus a residue cache keyed on
+    part-vectors.  The kernel packs a part-vector into one int with a bit
+    field per prime; sums that stay below the vector never carry."""
 
     __slots__ = (
-        "fe", "ideal", "budget", "primes", "vector", "shifts", "_prime_residues",
-        "_mul", "_neg", "_residues", "_classes",
+        "fe", "budget", "primes", "vector", "shifts", "_prime_residues",
+        "_mul", "_neg", "_residues",
     )
 
     def __init__(self, fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget):
@@ -127,14 +128,12 @@ class _Context:
                 f"{total} primes exceed the budget of {budget.max_primes}"
             )
         self.fe = fe
-        self.ideal = ideal
         self.budget = budget
         self.primes = tuple(p for p, _ in fe.factors)
         self.vector = tuple(exp for _, exp in fe.factors)
         self._prime_residues = tuple(reduce(p, ideal) for p in self.primes)
         self._mul, self._neg = residue_ops(ideal)
         self._residues: dict = {}
-        self._classes: dict = {}
         width = max(self.vector).bit_length()
         self.shifts = tuple(width * i for i in range(len(self.vector)))
 
@@ -152,19 +151,23 @@ class _Context:
         groups: dict = {}
         for part in product(*(range(e + 1) for e in self.vector)):
             if any(part):
-                groups.setdefault(self.sign_class(part), []).append(part)
+                residue = self.residue(part)
+                groups.setdefault(frozenset((residue, self._neg(residue))), []).append(part)
         total: dict = {}
         for parts in groups.values():
-            for w, c in self.knapsack(parts, False)[0].items():
+            for w, c in self.knapsack(parts, 0).items():
                 total[w] = total.get(w, 0) + c
         return list(groups.values()), total
 
-    def knapsack(self, parts: list[tuple[int, ...]], lengths: bool) -> tuple[dict, dict]:
-        """How many multisets of ``parts`` sum to each packed w <= v, and, if
-        ``lengths``, a bitmask of their sizes.  Part s adds d into d + s for
-        each d <= v - s ascending, so s may repeat; unused coordinates stay 0."""
+    def knapsack(self, parts: list[tuple[int, ...]], width: int) -> dict:
+        """The multisets of ``parts`` that sum to each packed w <= v, graded
+        by size: field n of w's entry, ``width`` bits at bit n * width, counts
+        those of n parts; width 0 overlays the fields into the plain count.
+        Part s adds d, one field up, into d + s for each d <= v - s ascending,
+        so s may repeat; unused coordinates stay 0.  Nothing is masked: a
+        field that overflows carries into the next."""
         used = [i for i in range(len(self.vector)) if any(p[i] for p in parts)]
-        count, sizes = {0: 1}, {0: 1}
+        count = {0: 1}
         for part in parts:
             box = [0]
             for i in reversed(used):  # ascending: the lowest field varies fastest
@@ -176,12 +179,28 @@ class _Context:
                 c = count.get(d)
                 if c:
                     t = d + s
-                    count[t] = count.get(t, 0) + c
-                    if lengths:
-                        sizes[t] = sizes.get(t, 0) | sizes[d] << 1
-        return count, sizes
+                    count[t] = count.get(t, 0) + (c << width)
+        return count
 
-    def residue(self, part: tuple[int, ...]) -> Residue:
+    def atomic_counts(self) -> tuple[int, list[int]]:
+        """The number of tau-factorizations of the whole vector, and its
+        atomic factorizations by length: entry n counts those of n atoms."""
+        groups, total = self.pass1()
+        whole = self.pack(self.vector)
+        # No length has more atomic factorizations than there are
+        # factorizations, so every field of the classes' sum fits this width.
+        width = total[whole].bit_length()
+        graded = sum(
+            self.knapsack([p for p in parts if total[self.pack(p)] == 1], width).get(whole, 0)
+            for parts in groups
+        )
+        counts = []
+        while graded:
+            graded, c = divmod(graded, 1 << width)
+            counts.append(c)
+        return total[whole], counts
+
+    def residue(self, part: tuple[int, ...]):
         """The block's residue: the residue of the block without one copy of
         its first prime, times that prime's residue."""
         cached = self._residues.get(part)
@@ -192,14 +211,6 @@ class _Context:
                 rest = part[:lead] + (part[lead] - 1,) + part[lead + 1:]
                 cached = self._mul(self.residue(rest), cached)
             self._residues[part] = cached
-        return cached
-
-    def sign_class(self, part: tuple[int, ...]) -> frozenset[Residue]:
-        """The block's residues up to sign: {r, -r}."""
-        cached = self._classes.get(part)
-        if cached is None:
-            residue = self.residue(part)
-            cached = self._classes[part] = frozenset((residue, self._neg(residue)))
         return cached
 
     def block(self, part: tuple[int, ...]) -> FactoredElement:
@@ -268,16 +279,9 @@ def elasticity(
     element with no atomic factorization reports is_atomic=False and no
     ratio.
     """
-    ctx = _Context(fe, ideal, budget)
-    groups, total = ctx.pass1()
-    whole = ctx.pack(ctx.vector)
-    factorization_count = total[whole]
-    atomic_count = sizes = 0
-    for parts in groups:
-        count, masks = ctx.knapsack([p for p in parts if total[ctx.pack(p)] == 1], True)
-        atomic_count += count.get(whole, 0)
-        sizes |= masks.get(whole, 0)
-    lengths = {n for n in range(sizes.bit_length()) if sizes >> n & 1}
+    factorization_count, counts = _Context(fe, ideal, budget).atomic_counts()
+    atomic_count = sum(counts)
+    lengths = {n for n, c in enumerate(counts) if c}
     if lengths:
         lo, hi = min(lengths), max(lengths)
         return ElasticityReport(

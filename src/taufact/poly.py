@@ -29,14 +29,6 @@ class Poly:
         object.__setattr__(self, "coeffs", cs[:n])
 
     @classmethod
-    def zero(cls) -> Poly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> Poly:
-        return cls((1,))
-
-    @classmethod
     def x(cls) -> Poly:
         return cls((0, 1))
 
@@ -87,29 +79,13 @@ class Poly:
         """Total order: by degree, then coefficients from leading down."""
         return (self.degree, tuple(reversed(self.coeffs)))
 
-    def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
     def __neg__(self) -> Poly:
         return Poly([-c for c in self.coeffs])
 
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
     def __mul__(self, other) -> Poly:
-        if isinstance(other, int):
-            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         return Poly(convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.coeffs:

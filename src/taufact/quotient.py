@@ -120,12 +120,6 @@ def reduce(e: Element, ideal: Ideal) -> Residue:
     return Residue(ideal, remainder(list(e.value.coeffs), g, ideal.modulus))
 
 
-def congruent(a: Element, b: Element, ideal: Ideal) -> bool:
-    if a.ring is not b.ring:
-        raise RingMismatch("cannot compare elements of different rings")
-    return reduce(a, ideal) == reduce(b, ideal)
-
-
 def residue_ops(
     ideal: Ideal,
 ) -> tuple[Callable[[Residue, Residue], Residue], Callable[[Residue], Residue]]:

@@ -41,6 +41,16 @@ def test_reduce_json_record(runner):
     assert "timing_ms" in record
 
 
+def test_json_record_is_one_line(runner):
+    """The record is printed unindented, so CPython's C encoder writes it."""
+    result = run(
+        runner, "factorizations", "--ideal", "2, x^2+x", "--primes", "x:3, x+1:3",
+        "--format", "json",
+    )
+    assert len(result.output.splitlines()) == 1
+    assert json.loads(result.output)["command"] == "factorizations"
+
+
 def test_classify_text_golden(runner):
     result = run(runner, "classify", "--ideal", "2, x^2+x")
     assert result.exit_code == 0

@@ -5,9 +5,13 @@ per-class knapsack over sub-vectors of the prime multiplicity vector, while
 ``enumerate_tau_factorizations`` lists multiset partitions.  An element is
 a tau-atom when ``elasticity`` counts one factorization.  The two share
 only the residue arithmetic, so their agreement checks both; here each
-block's flag is checked against a listing of the block itself.
+block's flag is checked against a listing of the block itself.  The
+kernel's atomic counts by length are also checked against a closed form
+in partition numbers, which shares no code with it.
 """
 
+from functools import cache
+from itertools import product
 from math import prod
 
 import pytest
@@ -138,6 +142,53 @@ def test_main_sequence_counts(i, factorizations, atomic):
     report = elasticity(fe, SUITE_IDEALS["lemma4"], EnumerationBudget(max_primes=60))
     assert (report.factorization_count, report.atomic_count) == (factorizations, atomic)
     assert report.atomic_lengths == frozenset(range(2, i + 1))
+
+
+@cache
+def partitions_into(k, n):
+    """p_k(n), the partitions of n into exactly k parts:
+    p_k(n) = p_{k-1}(n - 1) + p_k(n - k)."""
+    if k <= 0 or n < k:
+        return int(k == n == 0)
+    return partitions_into(k - 1, n - 1) + partitions_into(k, n - k)
+
+
+def closed_form_length_counts(a, b):
+    """Atomic factorizations of x^a (x+1)^b modulo (2, x^2+x) by length.
+
+    Modulo the ideal x^a is x, (x+1)^b is x+1 and x(x+1) is 0, so for a, b
+    >= 1 every block lies in class {0}: it is (α, β) with α, β >= 1, and an
+    atom exactly when min(α, β) = 1.  A factorization with t atoms (1, 1),
+    p atoms (1, β >= 2) and q atoms (α >= 2, 1) has length t + p + q; its α
+    are a partition of a - t - p into q parts >= 2, its β one of b - t - q
+    into p parts >= 2, and P2(n, k) = p_k(n - k) counts either."""
+    counts = [0] * (a + b + 1)
+    for t in range(min(a, b) + 1):
+        for p in range(a - t + 1):
+            for q in range(b - t + 1):
+                counts[t + p + q] += partitions_into(q, a - t - p - q) * partitions_into(p, b - t - q - p)
+    while counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+def kernel_length_counts(a, b):
+    x, xp1 = Element.polynomial(Poly.x()), Element.polynomial(Poly((1, 1)))
+    fe = build_factored(Ring.ZX, 1, [(x, a), (xp1, b)])
+    budget = EnumerationBudget(max_primes=a + b)
+    return _Context(fe, SUITE_IDEALS["lemma4"], budget).atomic_counts()[1]
+
+
+def test_length_counts_follow_the_closed_form():
+    for a, b in product(range(1, 13), repeat=2):
+        assert kernel_length_counts(a, b) == closed_form_length_counts(a, b), (a, b)
+
+
+@pytest.mark.parametrize("i", range(2, 31))
+def test_main_sequence_has_one_factorization_of_length_2_and_one_of_length_i(i):
+    counts = kernel_length_counts(i, i)
+    assert counts == closed_form_length_counts(i, i)
+    assert counts[2] == counts[i] == 1
 
 
 @st.composite

@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,11 @@ def monic_polys(max_degree=3, max_coeff=5):
     ).map(lambda tail: Poly(tuple(tail) + (1,)))
 
 
+def add(a, b):
+    """The coefficient-wise sum, to check products and remainders against."""
+    return Poly(tuple(x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)))
+
+
 def test_normalization_trims_leading_zeros():
     assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
     assert Poly((0, 0)).coeffs == ()
@@ -35,7 +42,7 @@ def test_normalization_trims_leading_zeros():
 
 def test_mul_examples():
     assert X * XP1 == Poly((0, 1, 1))
-    assert Poly.zero() * XP1 == Poly.zero()
+    assert Poly(()) * XP1 == Poly(())
     assert XP1 * XP1 == Poly((1, 2, 1))
 
 
@@ -43,12 +50,6 @@ def test_mul_degree_adds():
     a = Poly((3, 0, 2))
     b = Poly((-1, 4))
     assert (a * b).degree == a.degree + b.degree
-
-
-def test_add_examples():
-    assert Poly((0, 1, 1)) + X == Poly((0, 2, 1))
-    assert Poly((0, 0, 1)) + Poly((0, 0, -1)) == Poly.zero()
-    assert XP1 + XP1 == Poly((2, 2))
 
 
 def divmod_reference(a, g):
@@ -70,35 +71,35 @@ def test_divmod_monic_examples():
     g = Poly((0, 1, 1)).coeffs
     assert remainder([0, 0, 0, 1], g, 0) == X
     assert remainder(list(XP1.coeffs), g, 0) == XP1
-    assert remainder([0, 1, 1], g, 0) == Poly.zero()
+    assert remainder([0, 1, 1], g, 0) == Poly(())
     assert remainder([3, 5, 7], None, 2) == Poly((1, 1, 1))
-    assert remainder([4, -6], None, 2) == Poly.zero()
+    assert remainder([4, -6], None, 2) == Poly(())
 
 
 @given(small_polys(), small_polys(), small_polys())
 def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert a * add(b, c) == add(a * b, a * c)
 
 
 @given(small_polys(), monic_polys())
 def test_divmod_round_trip(a, g):
     r = remainder(list(a.coeffs), g.coeffs, 0)
     assert r.degree < g.degree
-    assert remainder(list((a - r).coeffs), g.coeffs, 0).is_zero
+    assert remainder(list(add(a, -r).coeffs), g.coeffs, 0).is_zero
 
 
 @given(small_polys(max_degree=2), monic_polys())
 def test_divmod_recovers_quotient_and_remainder(a, g):
     r = Poly(a.coeffs[: g.degree])
-    assert remainder(list((a * g + r).coeffs), g.coeffs, 0) == r
+    assert remainder(list(add(a * g, r).coeffs), g.coeffs, 0) == r
 
 
 @given(small_polys(max_degree=6), monic_polys(), st.integers(0, 6))
 def test_remainder_agrees_with_long_division(a, g, m):
     q, r = divmod_reference(a, g)
-    assert q * g + r == a
+    assert add(q * g, r) == a
     expected = Poly(tuple(c % m for c in r.coeffs)) if m else r
     assert remainder(list(a.coeffs), g.coeffs, m) == expected
     assert remainder(list(a.coeffs), None, m) == (Poly(tuple(c % m for c in a.coeffs)) if m else a)
@@ -107,7 +108,7 @@ def test_remainder_agrees_with_long_division(a, g, m):
 def test_content():
     assert Poly((2, 4, 6)).content == 2
     assert Poly((3, 5)).content == 1
-    assert Poly.zero().content == 0
+    assert Poly(()).content == 0
 
 
 @pytest.mark.parametrize(
@@ -133,7 +134,7 @@ def test_str_round_shapes():
     assert str(Poly((-1, -1))) == "-x-1"
     assert str(Poly((5,))) == "5"
     assert str(Poly((1, 0, 3))) == "3*x^2+1"
-    assert str(Poly.zero()) == "0"
+    assert str(Poly(())) == "0"
 
 
 def test_sort_key_orders_by_degree_then_leading_coeffs():

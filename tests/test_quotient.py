@@ -14,7 +14,6 @@ from taufact.quotient import (
     IsoClass,
     cayley_table,
     classify,
-    congruent,
     find_primes_in_class,
     quotient_fingerprint,
     reduce,
@@ -36,6 +35,14 @@ def zx(coeffs):
     return Element.polynomial(Poly(coeffs))
 
 
+def plus(ring, a, b):
+    """The sum of two values of the ring as an element: the reference that
+    the sum tables are checked against."""
+    if ring is Ring.Z:
+        return Element.integer(a + b)
+    return zx(tuple(x + y for x, y in itertools.zip_longest(a.coeffs, b.coeffs, fillvalue=0)))
+
+
 def test_ideal_guards():
     with pytest.raises(NonMonicGenerator):
         Ideal(Ring.ZX, 2, Poly((0, 2)))
@@ -54,8 +61,8 @@ def test_reduce_examples():
 def test_reduce_degenerate_zero_ideal():
     I0 = Ideal(Ring.Z, 0)
     assert reduce(Element.integer(42), I0).rep == 42
-    assert congruent(Element.integer(4), Element.integer(4), I0)
-    assert not congruent(Element.integer(4), Element.integer(7), I0)
+    assert reduce(Element.integer(4), I0) == reduce(Element.integer(4), I0)
+    assert reduce(Element.integer(4), I0) != reduce(Element.integer(7), I0)
 
 
 def test_reduce_ring_guard():
@@ -64,26 +71,16 @@ def test_reduce_ring_guard():
 
 
 def test_congruent_examples():
-    assert congruent(Element.integer(4), Element.integer(7), I3)
-    assert not congruent(zx((0, 1)), zx((1, 1)), IX2PX)
-    assert congruent(Element.integer(2), Element.integer(5), I3)
-
-
-def test_congruence_is_equivalence_on_sample():
-    sample = [Element.integer(n) for n in range(-10, 11)]
-    for a in sample:
-        assert congruent(a, a, I4)
-    for a, b in itertools.product(sample, repeat=2):
-        assert congruent(a, b, I4) == congruent(b, a, I4)
-    for a, b, c in itertools.product(sample[:8], repeat=3):
-        if congruent(a, b, I4) and congruent(b, c, I4):
-            assert congruent(a, c, I4)
+    """Congruent elements are those with equal residues."""
+    assert reduce(Element.integer(4), I3) == reduce(Element.integer(7), I3)
+    assert reduce(zx((0, 1)), IX2PX) != reduce(zx((1, 1)), IX2PX)
+    assert reduce(Element.integer(2), I3) == reduce(Element.integer(5), I3)
 
 
 def test_enumerate_residues():
     assert [r.rep for r in cayley_table(IX2PX).residues] == [
         Poly(()),
-        Poly.one(),
+        Poly((1,)),
         X,
         XP1,
     ]
@@ -213,7 +210,7 @@ def _additive_order_of_one(ideal):
     zero = reduce(constant(ideal.ring, 0), ideal)
     order, acc = 1, one
     while acc != zero:
-        acc = reduce(Element(ideal.ring, acc.rep + one.rep), ideal)
+        acc = reduce(plus(ideal.ring, acc.rep, one.rep), ideal)
         order += 1
         assert order <= ideal.quotient_size
     return order
@@ -339,7 +336,7 @@ def test_reduce_is_a_ring_homomorphism(ideal, ca, cb):
     ra, rb = reduce(a, ideal), reduce(b, ideal)
     table = _cached_table(ideal)
     i, j = table.residues.index(ra), table.residues.index(rb)
-    assert reduce(Element(ideal.ring, a.value + b.value), ideal) == table.residues[table.sum[i][j]]
+    assert reduce(plus(ideal.ring, a.value, b.value), ideal) == table.residues[table.sum[i][j]]
     multiply, negate = residue_ops(ideal)
     assert reduce(a * b, ideal) == multiply(ra, rb)
     assert reduce(-a, ideal) == negate(ra)
@@ -385,7 +382,7 @@ def _check_cells(table, cells):
     for i, j in cells:
         a, b = elements[i], elements[j]
         assert residues[table.product[i][j]] == reduce(a * b, ideal)
-        assert residues[table.sum[i][j]] == reduce(Element(ideal.ring, a.value + b.value), ideal)
+        assert residues[table.sum[i][j]] == reduce(plus(ideal.ring, a.value, b.value), ideal)
 
 
 def test_cayley_matches_reduce_products():
