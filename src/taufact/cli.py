@@ -333,14 +333,17 @@ def cmd_verify(suite, samples, seed, max_i, bound, budget):
         columns, describe = (*SEQUENCE_COLUMNS, "ok"), _describe_sequence_row
     elif suite == "hfd-z-small":
         rows = list(run_small_integer_survey(seed=seed, budget=budget).values())
-        inputs = {"suite": suite}
+        inputs = {"suite": suite, "seed": seed}
         key, counts, tally = "moduli", {}, {}
         columns = ("modulus", "max_elasticity", "elements", "censuses", "ok")
         describe = _describe_survey_row
     else:
         report = run_predictor_suite(suite, samples=samples, seed=seed, budget=budget, bound=bound)
         rows = report.cases
-        inputs = {"suite": suite, "samples": samples, "seed": seed, "bound": bound}
+        inputs = {
+            "suite": suite, "samples": samples, "seed": seed, "bound": bound,
+            "budget": budget.max_primes,
+        }
         failures = {"failures": report.failures, "no_closed_form": report.no_closed_form}
         key, counts = "cases", {"checked": report.checked, **failures}
         tally = {"cases": report.checked, **failures}

@@ -23,10 +23,11 @@ product, built the same way from a smaller block's product, gives the sort
 key, and every partition only looks its rows up.  Each factorization also
 carries its blocks' products, so a caller that prints them multiplies
 nothing out again.
-The listing runs the counting kernel below first and walks the sub-vectors
-it grouped by class; the kernel's counts bound the walk before it starts,
-flag each block as a tau-atom or not, and its count of the whole must equal
-the listing's length.
+The listing runs the counting kernel below first, then streams the
+partitions of each class's sub-vectors from ``vector_partitions``, which
+walks them packed into ints; the kernel's counts bound the blocks that walk
+examines before it starts, flag each block as a tau-atom or not, and its
+count of the whole must equal the listing's length.
 
 Counts need no listing.  For each sign class K, a knapsack over the
 sub-vectors of class K counts the multisets of them summing to each

@@ -2,24 +2,39 @@
 
 A multiset is handled as a multiplicity vector over its distinct elements.
 A partition is a multiset of nonzero part-vectors summing to the whole.
-The caller groups the candidate parts into classes; only partitions into
-parts of one class are generated, class by class, each exactly once, with
-parts in non-increasing lexicographic order (index 0 most significant).
-So when the whole vector is in a class, its trivial partition comes first.
+The caller groups the candidate parts, sub-vectors of the whole, into
+classes; only partitions into parts of one class are generated, class by
+class, each exactly once, with parts in non-increasing lexicographic order
+(index 0 most significant).  So when the whole vector is in a class, its
+trivial partition comes first.
 
 Enumeration is depth first (Knuth, TAOCP 4A, 7.2.1.5): choose the
 lex-largest part that fits in what remains and is no larger than the
-previous part, recurse on what is left.  Every part must contain the first
+previous part, go on with what is left.  Every part must contain the first
 nonzero coordinate of what remains, since a later, lex-smaller part could
-not cover it.  A class keeps a trie of its parts per first nonzero
-coordinate; the search reaches only parts meeting all three conditions.
+not cover it.
 
-Nothing here counts or caps the work: each part examined closes a distinct
+The walk runs on packed ints (TAOCP 4A, 7.1.3).  A vector packs into one
+field per coordinate, coordinate 0 most significant, each field one guard
+bit wider than the largest multiplicity needs.  So numeric order is lex
+order, and the first nonzero coordinate is the top nonzero field.  With G
+the mask of guard bits, part s fits in remainder r exactly when
+((r | G) - s) & G == G: a field where s exceeds r borrows its own guard
+bit, and no borrow reaches the next field.  A class keeps its parts by top
+field in ascending order.  The parts of r's top field that fit in r are
+filtered once per distinct remainder of the class's walk; a node bisects
+them at the previous part and takes those below it, largest first.  The
+path lives on an explicit stack inside the one generator frame, so
+partitions stream out as the walk finds them.
+
+Nothing here counts or caps the work.  A part the walk examines is one it
+takes at a node, to descend or to close a partition: each closes a distinct
 nonempty multiset of one class's parts, which a caller can count first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
 
@@ -27,42 +42,55 @@ def vector_partitions(
     vector: tuple[int, ...], classes: Iterable[Iterable[tuple[int, ...]]]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield the partitions of a multiplicity vector into parts of one class,
-    class by class, as tuples of part-vectors."""
+    class by class, as tuples of part-vectors.  Every part is a sub-vector
+    of ``vector``."""
     if not vector or not any(vector):
         raise ValueError("vector must have positive total multiplicity")
+    width = max(vector).bit_length() + 1
+    guard = whole = 0
+    for mult in vector:
+        guard = guard << width | 1 << (width - 1)
+        whole = whole << width | mult
     for parts in classes:
-        tries: dict = {}  # by first nonzero coordinate; children descend
-        for part in sorted(parts, reverse=True):
-            lead = next(i for i, d in enumerate(part) if d)
-            node = tries.setdefault(lead, {})
-            for d in part[lead:-1]:
-                node = node.setdefault(d, {})
-            node[part[-1]] = part
-        yield from _partitions(vector, vector, [], tries)
-
-
-def _partitions(remaining, bound, acc, tries):
-    if not any(remaining):
-        yield tuple(acc)
-        return
-    lead = next(i for i, r in enumerate(remaining) if r)
-    trie, tight = tries.get(lead, {}), not any(bound[:lead])
-    for part in _candidates(trie, remaining, bound, lead, tight, []):
-        acc.append(part)
-        rest = tuple(r - p for r, p in zip(remaining, part))
-        yield from _partitions(rest, part, acc, tries)
-        acc.pop()
-
-
-def _candidates(node, remaining, bound, i, tight, out):
-    """Append to ``out`` the parts below trie ``node``, at coordinate ``i``,
-    that fit in ``remaining`` and are lexicographically at most ``bound``,
-    in descending order; ``tight`` says the digits so far equal ``bound``'s."""
-    hi = min(remaining[i], bound[i]) if tight else remaining[i]
-    for d, child in node.items():
-        if d <= hi:
-            if i + 1 == len(remaining):
-                out.append(child)
+        unpacked: dict = {}
+        groups: dict = {}  # by top field, ascending
+        for part in parts:
+            s = 0
+            for mult in part:
+                s = s << width | mult
+            if s not in unpacked:
+                unpacked[s] = part
+                groups.setdefault((s.bit_length() - 1) // width, []).append(s)
+        for group in groups.values():
+            group.sort()
+        fitting = {}  # by remainder: the parts of its top field that fit
+        fit = fitting[whole] = _fitting(whole, groups.get((whole.bit_length() - 1) // width, ()), guard)
+        # The open nodes: what remains at each, its untaken candidates, and
+        # the parts taken on the way to it.
+        rests, nodes, path = [whole], [reversed(fit[:bisect_right(fit, whole)])], []
+        while nodes:
+            r = rests[-1]
+            for s in nodes[-1]:
+                rest = r - s
+                if not rest:
+                    yield (*path, unpacked[s])
+                    continue
+                fit = fitting.get(rest)
+                if fit is None:
+                    fit = fitting[rest] = _fitting(rest, groups.get((rest.bit_length() - 1) // width, ()), guard)
+                path.append(unpacked[s])
+                rests.append(rest)
+                nodes.append(reversed(fit[:bisect_right(fit, s)]))
+                break
             else:
-                _candidates(child, remaining, bound, i + 1, tight and d == bound[i], out)
-    return out
+                nodes.pop()
+                rests.pop()
+                del path[-1:]
+
+
+def _fitting(remainder: int, group, guard: int) -> tuple[int, ...]:
+    """The packed parts of ``group`` that fit in ``remainder``, in order.  A
+    tuple holds them in no more memory than they need, and slicing all of it
+    returns the tuple itself."""
+    high = remainder | guard
+    return tuple([s for s in group if (high - s) & guard == guard])

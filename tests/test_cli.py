@@ -443,6 +443,46 @@ def test_round_trip_of_printed_forms(runner):
     assert json.loads(again.output)["result"] == json.loads(result.output)["result"]
 
 
+def test_predictor_suite_reruns_from_its_inputs(runner):
+    # The budget caps the totals the suite draws, so the record must echo it.
+    args = ("verify", "lemma4", "--samples", "5", "--seed", "2")
+    record = json.loads(run(runner, *args, "--budget", "5", "--format", "json").output)
+    inputs = record["inputs"]
+    again = run(
+        runner, "verify", inputs["suite"], "--samples", str(inputs["samples"]),
+        "--seed", str(inputs["seed"]), "--bound", str(inputs["bound"]),
+        "--budget", str(inputs["budget"]), "--format", "json",
+    )
+    assert json.loads(again.output)["inputs"] == inputs
+    assert json.loads(again.output)["result"] == record["result"]
+    default = json.loads(run(runner, *args, "--format", "json").output)
+    assert default["inputs"]["budget"] == 14
+    assert default["result"] != record["result"]
+
+
+def test_survey_reruns_from_its_inputs(runner, monkeypatch):
+    # The seed picks the products the survey cross-checks.
+    seeds = []
+
+    def survey(seed, budget):
+        seeds.append(seed)
+        row = verify.SurveyResult(
+            modulus=1, elements=1, censuses=1, atomic_elements=1, non_atomic_elements=0,
+            max_elasticity=Fraction(1), max_witness="2 = 2", attained_two=[],
+            crosschecked=seed, crosscheck_failures=0, ok=True,
+        )
+        return {1: row}
+
+    monkeypatch.setattr(cli, "run_small_integer_survey", survey)
+    record = json.loads(run(runner, "verify", "hfd-z-small", "--seed", "7", "--format", "json").output)
+    inputs = record["inputs"]
+    again = run(
+        runner, "verify", inputs["suite"], "--seed", str(inputs["seed"]), "--format", "json",
+    )
+    assert seeds == [7, 7]
+    assert json.loads(again.output)["result"] == record["result"]
+
+
 def test_registry_env_allows_quartic(runner, tmp_path):
     registry = tmp_path / "registry.txt"
     registry.write_text("# trusted quartics\nx^4+x+1\n")

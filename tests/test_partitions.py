@@ -6,10 +6,10 @@ import pytest
 from taufact.partitions import vector_partitions
 
 from naive_oracle import naive_set_partitions
-from walk_count import walk_calls
+from walk_count import walk_counts
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
-INTEGER_PARTITIONS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
+INTEGER_PARTITIONS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
 
 
 def one_class(vector):
@@ -47,7 +47,7 @@ def test_distinct_items_count_is_bell(n):
     assert sum(1 for _ in vector_partitions((1,) * n, one_class((1,) * n))) == BELL[n]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_identical_items_count_is_integer_partitions(n):
     assert sum(1 for _ in vector_partitions((n,), one_class((n,)))) == INTEGER_PARTITIONS[n]
 
@@ -59,6 +59,16 @@ def test_identical_items_count_is_integer_partitions(n):
         [1, 2, 3, 3, 3],
         [1, 1, 1, 2, 3],
         ["a", "a", "b", "c", "c"],
+        # A field holds the largest multiplicity and a guard bit: 1, 3 and
+        # 7 fill a field of 2, 3 and 4 bits; 4 and 8 take one bit more.
+        [1, 2, 2, 2],
+        [1, 1, 1, 2, 2, 2, 2],
+        [1, 1, 1, 1, 2],
+        [1, 2, 2, 2, 2, 3],
+        [1] * 7 + [2],
+        [1] + [2] * 7,
+        [1] * 8 + [2],
+        [1] + [2] * 8,
     ],
 )
 def test_matches_naive_enumeration(items):
@@ -110,10 +120,12 @@ def test_leading_zero_coordinates():
 
 def test_classes_keep_exactly_the_one_class_partitions():
     rng = random.Random(3)
+    drawn = set()
     for _ in range(60):
-        vector = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
-        if not any(vector):
+        vector = tuple(rng.randint(0, 8) for _ in range(rng.randint(1, 4)))
+        if not any(vector) or sum(vector) > 9:
             continue
+        drawn.update(vector)
         modulus = rng.randint(1, 5)
 
         def key(part):
@@ -129,6 +141,7 @@ def test_classes_keep_exactly_the_one_class_partitions():
         for k in classes:
             within = [ps for ps in listed if key(ps[0]) == k]
             assert within == sorted(within, reverse=True)
+    assert {1, 3, 4, 7, 8} <= drawn
 
 
 def test_walk_examines_only_parts_that_fit():
@@ -137,9 +150,14 @@ def test_walk_examines_only_parts_that_fit():
     # previous part, 231,949 for the Bell(10) = 115,975 partitions.  Parts
     # of the class that do not fit in what remains are not walked.
     vector = (1,) * 10
-    with walk_calls() as calls:
+    with walk_counts() as counts:
         assert sum(1 for _ in vector_partitions(vector, one_class(vector))) == 115_975
-    assert len(calls) - 1 == 231_949
+    assert counts["examined"] == 231_949
+    # The filter tests each part of the remainder's top field once per
+    # distinct remainder: the whole tests the 512 parts holding item 0, and
+    # each of the 2^(9-i) remainders whose first item is i, for i = 1..9,
+    # tests the 2^(9-i) parts whose first item is i.
+    assert counts["looked_at"] == 512 + sum(4 ** (9 - i) for i in range(1, 10)) == 87_893
 
 
 def test_vector_partitions_rejects_empty():

@@ -1,4 +1,4 @@
-"""Count the blocks the partition walk examines."""
+"""Count the work of the partition walk."""
 
 from contextlib import contextmanager
 
@@ -6,18 +6,28 @@ from taufact import partitions
 
 
 @contextmanager
-def walk_calls():
-    """Yield a list that grows by one on every call of the walk's recursive
-    generator while the block runs.  Each class's walk starts with one root
-    call; every further call follows one examined block."""
-    real, calls = partitions._partitions, []
+def walk_counts():
+    """Yield a dict of the walk's counts while the block runs.
 
-    def counting(*args):
-        calls.append(None)
-        yield from real(*args)
+    ``examined``: every node the walk opens bisects the parts that fit in
+    what remains at the previous part, and takes each part below that
+    index; a walk run to the end examines their sum.  ``looked_at``: the
+    parts the per-remainder filter tests, one top-field group per distinct
+    remainder of a class's walk."""
+    counts = {"examined": 0, "looked_at": 0}
+    real_bisect, real_fitting = partitions.bisect_right, partitions._fitting
 
-    partitions._partitions = counting
+    def bisect_right(fit, bound):
+        index = real_bisect(fit, bound)
+        counts["examined"] += index
+        return index
+
+    def fitting(remainder, group, guard):
+        counts["looked_at"] += len(group)
+        return real_fitting(remainder, group, guard)
+
+    partitions.bisect_right, partitions._fitting = bisect_right, fitting
     try:
-        yield calls
+        yield counts
     finally:
-        partitions._partitions = real
+        partitions.bisect_right, partitions._fitting = real_bisect, real_fitting
