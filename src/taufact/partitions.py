@@ -21,15 +21,16 @@ order, and the first nonzero coordinate is the top nonzero field.  With G
 the mask of guard bits, part s fits in remainder r exactly when
 ((r | G) - s) & G == G: a field where s exceeds r borrows its own guard
 bit, and no borrow reaches the next field.  A class keeps its parts by top
-field in ascending order.  The parts of r's top field that fit in r are
-filtered once per distinct remainder of the class's walk; a node bisects
-them at the previous part and takes those below it, largest first.  The
-path lives on an explicit stack inside the one generator frame, so
-partitions stream out as the walk finds them.
+field in ascending order.  A node bisects the parts of r's top field at the
+previous part and scans those below it, largest first, skipping the ones
+that do not fit.  The path lives on an explicit stack inside the one
+generator frame, so partitions stream out as the walk finds them.
 
 Nothing here counts or caps the work.  A part the walk examines is one it
 takes at a node, to descend or to close a partition: each closes a distinct
 nonempty multiset of one class's parts, which a caller can count first.
+The parts the scan skips are not counted; they are at most the parts of
+one top field per node.
 """
 
 from __future__ import annotations
@@ -63,34 +64,28 @@ def vector_partitions(
                 groups.setdefault((s.bit_length() - 1) // width, []).append(s)
         for group in groups.values():
             group.sort()
-        fitting = {}  # by remainder: the parts of its top field that fit
-        fit = fitting[whole] = _fitting(whole, groups.get((whole.bit_length() - 1) // width, ()), guard)
         # The open nodes: what remains at each, its untaken candidates, and
-        # the parts taken on the way to it.
-        rests, nodes, path = [whole], [reversed(fit[:bisect_right(fit, whole)])], []
+        # the parts taken on the way to it.  The root has no previous part,
+        # so it scans its whole top field.
+        rests = [whole]
+        nodes = [reversed(groups.get((whole.bit_length() - 1) // width, ()))]
+        path = []
         while nodes:
             r = rests[-1]
+            high = r | guard
             for s in nodes[-1]:
+                if (high - s) & guard != guard:
+                    continue
                 rest = r - s
                 if not rest:
                     yield (*path, unpacked[s])
                     continue
-                fit = fitting.get(rest)
-                if fit is None:
-                    fit = fitting[rest] = _fitting(rest, groups.get((rest.bit_length() - 1) // width, ()), guard)
+                group = groups.get((rest.bit_length() - 1) // width, ())
                 path.append(unpacked[s])
                 rests.append(rest)
-                nodes.append(reversed(fit[:bisect_right(fit, s)]))
+                nodes.append(reversed(group[:bisect_right(group, s)]))
                 break
             else:
                 nodes.pop()
                 rests.pop()
                 del path[-1:]
-
-
-def _fitting(remainder: int, group, guard: int) -> tuple[int, ...]:
-    """The packed parts of ``group`` that fit in ``remainder``, in order.  A
-    tuple holds them in no more memory than they need, and slicing all of it
-    returns the tuple itself."""
-    high = remainder | guard
-    return tuple([s for s in group if (high - s) & guard == guard])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from taufact import partitions
 from taufact.partitions import vector_partitions
 
 from naive_oracle import naive_set_partitions
@@ -107,8 +108,8 @@ def test_deterministic_order():
 
 
 def test_trivial_partition_comes_first():
-    partitions = vector_partitions((1, 2, 1), one_class((1, 2, 1)))
-    assert next(iter(partitions)) == ((1, 2, 1),)
+    listed = vector_partitions((1, 2, 1), one_class((1, 2, 1)))
+    assert next(iter(listed)) == ((1, 2, 1),)
 
 
 def test_leading_zero_coordinates():
@@ -118,30 +119,57 @@ def test_leading_zero_coordinates():
     ]
 
 
+def lex_partitions(vector, bound):
+    """The partitions of ``vector`` into parts no larger than ``bound``,
+    parts in non-increasing lex order, by plain recursion on tuples."""
+    if not any(vector):
+        yield ()
+        return
+    for part in sorted(one_class(vector)[0], reverse=True):
+        if part <= bound:
+            rest = tuple(v - p for v, p in zip(vector, part))
+            for tail in lex_partitions(rest, part):
+                yield (part, *tail)
+
+
+def check_classes_keep_the_one_class_partitions(vector, modulus):
+    def key(part):
+        return sum((i + 2) * p for i, p in enumerate(part)) % modulus
+
+    classes: dict = {}
+    for part in one_class(vector)[0]:
+        classes.setdefault(key(part), []).append(part)
+    everything = list(vector_partitions(vector, one_class(vector)))
+    assert everything == list(lex_partitions(vector, vector))
+    expected = [ps for ps in everything if len({key(p) for p in ps}) == 1]
+    listed = list(vector_partitions(vector, list(classes.values())))
+    assert sorted(listed) == sorted(expected)
+    for k in classes:
+        within = [ps for ps in listed if key(ps[0]) == k]
+        assert within == sorted(within, reverse=True)
+
+
 def test_classes_keep_exactly_the_one_class_partitions():
     rng = random.Random(3)
-    drawn = set()
     for _ in range(60):
-        vector = tuple(rng.randint(0, 8) for _ in range(rng.randint(1, 4)))
-        if not any(vector) or sum(vector) > 9:
+        vector = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+        if not any(vector):
+            continue
+        check_classes_keep_the_one_class_partitions(vector, rng.randint(1, 5))
+    # Multiplicities up to 8 cross the field widths of 2, 3 and 4 bits; the
+    # total stays at most 10 so that each vector's partitions stay few.
+    rng = random.Random(4)
+    drawn, accepted, wide = set(), 0, 0
+    while accepted < 60:
+        vector = tuple(rng.randint(0, 8) for _ in range(rng.randint(2, 4)))
+        if not any(vector) or sum(vector) > 10:
             continue
         drawn.update(vector)
-        modulus = rng.randint(1, 5)
-
-        def key(part):
-            return sum((i + 2) * p for i, p in enumerate(part)) % modulus
-
-        classes: dict = {}
-        for part in one_class(vector)[0]:
-            classes.setdefault(key(part), []).append(part)
-        everything = vector_partitions(vector, one_class(vector))
-        expected = [ps for ps in everything if len({key(p) for p in ps}) == 1]
-        listed = list(vector_partitions(vector, list(classes.values())))
-        assert sorted(listed) == sorted(expected)
-        for k in classes:
-            within = [ps for ps in listed if key(ps[0]) == k]
-            assert within == sorted(within, reverse=True)
+        accepted += 1
+        wide += len(vector) > 2
+        check_classes_keep_the_one_class_partitions(vector, rng.randint(1, 5))
     assert {1, 3, 4, 7, 8} <= drawn
+    assert wide >= 20
 
 
 def test_walk_examines_only_parts_that_fit():
@@ -151,13 +179,13 @@ def test_walk_examines_only_parts_that_fit():
     # of the class that do not fit in what remains are not walked.
     vector = (1,) * 10
     with walk_counts() as counts:
-        assert sum(1 for _ in vector_partitions(vector, one_class(vector))) == 115_975
+        walk = partitions.vector_partitions(vector, one_class(vector))
+        assert sum(1 for _ in walk) == 115_975
     assert counts["examined"] == 231_949
-    # The filter tests each part of the remainder's top field once per
-    # distinct remainder: the whole tests the 512 parts holding item 0, and
-    # each of the 2^(9-i) remainders whose first item is i, for i = 1..9,
-    # tests the 2^(9-i) parts whose first item is i.
-    assert counts["looked_at"] == 512 + sum(4 ** (9 - i) for i in range(1, 10)) == 87_893
+    # The nodes below the root scan 1,653,985 parts, fitting or not; the
+    # root scans its 512 parts holding item 0, which all fit.  A walk that
+    # scans more fails here.
+    assert counts["scanned"] == 1_653_985
 
 
 def test_vector_partitions_rejects_empty():

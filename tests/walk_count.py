@@ -2,32 +2,35 @@
 
 from contextlib import contextmanager
 
-from taufact import partitions
+from taufact import engine, partitions
 
 
 @contextmanager
 def walk_counts():
-    """Yield a dict of the walk's counts while the block runs.
+    """Yield a dict whose ``examined`` counts the parts the walk takes while
+    the block runs, through ``partitions.vector_partitions`` or the engine's
+    binding of it.  A taken part either closes a partition, which the walk
+    yields, or opens a node, which bisects its top field once; the root of a
+    class's walk bisects nothing.  ``scanned`` counts the parts those nodes
+    scan, fitting or not: the parts of the top field below the bisection."""
+    counts = {"examined": 0, "scanned": 0}
+    real_bisect, real_walk = partitions.bisect_right, partitions.vector_partitions
 
-    ``examined``: every node the walk opens bisects the parts that fit in
-    what remains at the previous part, and takes each part below that
-    index; a walk run to the end examines their sum.  ``looked_at``: the
-    parts the per-remainder filter tests, one top-field group per distinct
-    remainder of a class's walk."""
-    counts = {"examined": 0, "looked_at": 0}
-    real_bisect, real_fitting = partitions.bisect_right, partitions._fitting
-
-    def bisect_right(fit, bound):
-        index = real_bisect(fit, bound)
-        counts["examined"] += index
+    def bisect_right(group, bound):
+        index = real_bisect(group, bound)
+        counts["examined"] += 1
+        counts["scanned"] += index
         return index
 
-    def fitting(remainder, group, guard):
-        counts["looked_at"] += len(group)
-        return real_fitting(remainder, group, guard)
+    def vector_partitions(vector, classes):
+        for partition in real_walk(vector, classes):
+            counts["examined"] += 1
+            yield partition
 
-    partitions.bisect_right, partitions._fitting = bisect_right, fitting
+    partitions.bisect_right = bisect_right
+    partitions.vector_partitions = engine.vector_partitions = vector_partitions
     try:
         yield counts
     finally:
-        partitions.bisect_right, partitions._fitting = real_bisect, real_fitting
+        partitions.bisect_right = real_bisect
+        partitions.vector_partitions = engine.vector_partitions = real_walk
