@@ -9,6 +9,7 @@ text lines and the csv lines, and the verdict.  The runner calls only the
 function that ``--format`` selects, so a run builds just the output it
 prints: text (default), csv, or the json record on one line, each in one
 write; the record echoes the command, library version and canonical
+inputs, with ``--budget`` where a command takes it, so it reruns from its
 inputs.  Timing covers the body and the rendering, and lives in a separate
 json field and never inside result payloads, so text and csv output is
 byte-stable across runs.
@@ -67,6 +68,8 @@ def _command(name: str):
                 click.echo(json.dumps({"error": exc.code, "detail": str(exc)}))
                 sys.exit(1)
             if fmt == "json":
+                if "budget" in kwargs:
+                    inputs = {**inputs, "budget": kwargs["budget"].max_primes}
                 record = {
                     "command": name,
                     "version": __version__,
@@ -340,10 +343,7 @@ def cmd_verify(suite, samples, seed, max_i, bound, budget):
     else:
         report = run_predictor_suite(suite, samples=samples, seed=seed, budget=budget, bound=bound)
         rows = report.cases
-        inputs = {
-            "suite": suite, "samples": samples, "seed": seed, "bound": bound,
-            "budget": budget.max_primes,
-        }
+        inputs = {"suite": suite, "samples": samples, "seed": seed, "bound": bound}
         failures = {"failures": report.failures, "no_closed_form": report.no_closed_form}
         key, counts = "cases", {"checked": report.checked, **failures}
         tally = {"cases": report.checked, **failures}

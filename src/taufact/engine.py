@@ -19,13 +19,15 @@ reproducible.
 Only residues decide the classes, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
 residue.  The listing keeps one row per distinct block the walk meets: its
-product, built the same way from a smaller block's product, gives the sort
-key, and every partition only looks its rows up.  Each factorization also
-carries its blocks' products, so a caller that prints them multiplies
-nothing out again.
-The listing runs the counting kernel below first, then streams the
-partitions of each class's sub-vectors from ``vector_partitions``, which
-walks them packed into ints; the kernel's counts bound the blocks that walk
+product, built by the same recursion, gives the sort key, and every
+partition only looks its rows up.  Each factorization also carries its
+blocks' products, so a caller that prints them multiplies nothing out again.
+The kernel and the walk share one packed layout: a sub-vector is one int,
+coordinate 0 most significant, each field one guard bit wider than the
+largest multiplicity needs, so sums under the vector never carry and numeric
+order is lex order.  The listing runs the counting kernel below first, then
+streams the partitions of each class's packed sub-vectors from
+``vector_partitions``; the kernel's counts bound the blocks that walk
 examines before it starts, flag each block as a tau-atom or not, and its
 count of the whole must equal the listing's length.
 
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
@@ -109,13 +111,13 @@ class ElasticityReport:
 
 class _Context:
     """Per-call state: the prime multiset as a vector, each prime's residue,
-    the ideal's residue product and negation, plus a residue cache keyed on
-    part-vectors.  The kernel packs a part-vector into one int with a bit
-    field per prime; sums that stay below the vector never carry."""
+    the ideal's residue product and negation, and each part-vector's residue.
+    ``pack`` and ``unpack`` convert part-vectors to and from the one packed
+    layout (module docstring), ``width`` bits per field."""
 
     __slots__ = (
-        "fe", "budget", "primes", "vector", "shifts", "_prime_residues",
-        "_mul", "_neg", "_residues",
+        "fe", "budget", "primes", "vector", "width", "shifts", "residues",
+        "_prime_residues", "_mul", "_neg",
     )
 
     def __init__(self, fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget):
@@ -134,12 +136,16 @@ class _Context:
         self.vector = tuple(exp for _, exp in fe.factors)
         self._prime_residues = tuple(reduce(p, ideal) for p in self.primes)
         self._mul, self._neg = residue_ops(ideal)
-        self._residues: dict = {}
-        width = max(self.vector).bit_length()
-        self.shifts = tuple(width * i for i in range(len(self.vector)))
+        self.residues: dict = {}
+        self.width = max(self.vector).bit_length() + 1
+        self.shifts = tuple(self.width * i for i in reversed(range(len(self.vector))))
 
     def pack(self, part) -> int:
         return sum(mult << shift for mult, shift in zip(part, self.shifts))
+
+    def unpack(self, s: int) -> tuple[int, ...]:
+        mask = (1 << self.width) - 1
+        return tuple(s >> shift & mask for shift in self.shifts)
 
     def pass1(self) -> tuple[list, dict]:
         """The nonzero sub-vectors grouped by sign class, and the number of
@@ -152,7 +158,7 @@ class _Context:
         groups: dict = {}
         for part in product(*(range(e + 1) for e in self.vector)):
             if any(part):
-                residue = self.residue(part)
+                residue = self.build(part, self.residues, self._prime_residues, self._mul)
                 groups.setdefault(frozenset((residue, self._neg(residue))), []).append(part)
         total: dict = {}
         for parts in groups.values():
@@ -164,14 +170,15 @@ class _Context:
         """The multisets of ``parts`` that sum to each packed w <= v, graded
         by size: field n of w's entry, ``width`` bits at bit n * width, counts
         those of n parts; width 0 overlays the fields into the plain count.
-        Part s adds d, one field up, into d + s for each d <= v - s ascending,
-        so s may repeat; unused coordinates stay 0.  Nothing is masked: a
-        field that overflows carries into the next."""
+        Part s adds d, one field up, into d + s for each d <= v - s, so s may
+        repeat: any order that visits d before d + s is correct, and the box
+        below is in numeric order.  Unused coordinates stay 0.  Nothing is
+        masked: a count field that overflows carries into the next."""
         used = [i for i in range(len(self.vector)) if any(p[i] for p in parts)]
         count = {0: 1}
         for part in parts:
             box = [0]
-            for i in reversed(used):  # ascending: the lowest field varies fastest
+            for i in used:  # the last coordinate, the lowest field, varies fastest
                 if self.vector[i] > part[i]:
                     ks = [k << self.shifts[i] for k in range(self.vector[i] - part[i] + 1)]
                     box = [d + k for d in box for k in ks]
@@ -201,18 +208,19 @@ class _Context:
             counts.append(c)
         return total[whole], counts
 
-    def residue(self, part: tuple[int, ...]):
-        """The block's residue: the residue of the block without one copy of
-        its first prime, times that prime's residue."""
-        cached = self._residues.get(part)
-        if cached is None:
+    def build(self, part: tuple[int, ...], cache: dict, leaves: tuple, mul):
+        """A block's value, memoized in ``cache``: ``mul`` of the value of the
+        block without one copy of its first prime and that prime's leaf.
+        Residues build with the ideal's product, products with ``*``."""
+        value = cache.get(part)
+        if value is None:
             lead = next(i for i, mult in enumerate(part) if mult)
-            cached = self._prime_residues[lead]
+            value = leaves[lead]
             if sum(part) > 1:
                 rest = part[:lead] + (part[lead] - 1,) + part[lead + 1:]
-                cached = self._mul(self.residue(rest), cached)
-            self._residues[part] = cached
-        return cached
+                value = mul(self.build(rest, cache, leaves, mul), value)
+            cache[part] = value
+        return value
 
     def block(self, part: tuple[int, ...]) -> FactoredElement:
         factors = tuple(
@@ -235,39 +243,30 @@ def enumerate_tau_factorizations(
     steps = sum(total.values()) - len(groups)
     if steps > budget.max_partitions:
         raise BudgetExceeded(f"{steps} listing steps exceed the budget of {budget.max_partitions}")
-    # Blocks recur across partitions, so each distinct part gets one row:
-    # (sort key of its product, product, block, residue, atom flag).  A
-    # product is built like a residue, from the part without one copy of its
-    # first prime times that prime; the row's product is the one object every
-    # factorization holding that block carries in ``products``.
+    # Blocks recur across partitions, so each distinct packed part is
+    # unpacked once, for its row: (sort key of its product, product, block,
+    # residue, atom flag).  pass1 built its residue; its product is built the
+    # same way, and is the one object every factorization holding that block
+    # carries in ``products``.
+    whole = ctx.pack(ctx.vector)
+    classes = [[ctx.pack(p) for p in parts] for parts in groups]
     products: dict = {}
-
-    def product_of(part):
-        value = products.get(part)
-        if value is None:
-            lead = next(i for i, mult in enumerate(part) if mult)
-            value = ctx.primes[lead]
-            if sum(part) > 1:
-                value = product_of(part[:lead] + (part[lead] - 1,) + part[lead + 1:]) * value
-            products[part] = value
-        return value
-
     rows: dict = {}
     found = []
-    for partition in vector_partitions(ctx.vector, groups):
-        for p in partition:
-            if p not in rows:
-                value = product_of(p)
-                rows[p] = (value.sort_key, value, ctx.block(p), ctx.residue(p), total[ctx.pack(p)] == 1)
+    for partition in vector_partitions(whole, ctx.width, classes):
+        for s in partition:
+            if s not in rows:
+                part = ctx.unpack(s)
+                value = ctx.build(part, products, ctx.primes, mul)
+                rows[s] = (value.sort_key, value, ctx.block(part), ctx.residues[part], total[s] == 1)
         # Sorting fixes which block leads, hence the witness.
         keys, values, blocks, residues, atomic = zip(*sorted(map(rows.__getitem__, partition), key=itemgetter(0)))
         signs = tuple(1 if r == residues[0] else -1 for r in residues)
         lam = fe.unit * prod(signs)
         found.append(((len(keys), keys), TauFactorization(lam, blocks, signs, atomic, values)))
     found.sort(key=lambda item: item[0])
-    counted = total[ctx.pack(ctx.vector)]
-    if len(found) != counted:
-        raise InternalCheckFailed(f"listed {len(found)} tau-factorizations, the kernel counts {counted}")
+    if len(found) != total[whole]:
+        raise InternalCheckFailed(f"listed {len(found)} tau-factorizations, the kernel counts {total[whole]}")
     return [tf for _, tf in found]
 
 

@@ -14,17 +14,19 @@ previous part, go on with what is left.  Every part must contain the first
 nonzero coordinate of what remains, since a later, lex-smaller part could
 not cover it.
 
-The walk runs on packed ints (TAOCP 4A, 7.1.3).  A vector packs into one
-field per coordinate, coordinate 0 most significant, each field one guard
-bit wider than the largest multiplicity needs.  So numeric order is lex
-order, and the first nonzero coordinate is the top nonzero field.  With G
-the mask of guard bits, part s fits in remainder r exactly when
-((r | G) - s) & G == G: a field where s exceeds r borrows its own guard
-bit, and no borrow reaches the next field.  A class keeps its parts by top
-field in ascending order.  A node bisects the parts of r's top field at the
-previous part and scans those below it, largest first, skipping the ones
-that do not fit.  The path lives on an explicit stack inside the one
-generator frame, so partitions stream out as the walk finds them.
+The walk runs on the caller's packed ints (TAOCP 4A, 7.1.3).  A vector
+packs into one field per coordinate, coordinate 0 most significant, each
+field one guard bit wider than the largest multiplicity needs.  So numeric
+order is lex order, and the first nonzero coordinate is the top nonzero
+field.  With G the mask of guard bits, part s fits in remainder r exactly
+when ((r | G) - s) & G == G: a field where s exceeds r borrows its own
+guard bit, and no borrow reaches the next field.  The caller's parts within
+a class are distinct, and the walk yields them as it was given them.  A
+class keeps its parts by top field in ascending order.  A node bisects the
+parts of r's top field at the previous part and scans those below it,
+largest first, skipping the ones that do not fit.  The path lives on an
+explicit stack inside the one generator frame, so partitions stream out as
+the walk finds them.
 
 Nothing here counts or caps the work.  A part the walk examines is one it
 takes at a node, to descend or to close a partition: each closes a distinct
@@ -40,28 +42,20 @@ from typing import Iterable, Iterator
 
 
 def vector_partitions(
-    vector: tuple[int, ...], classes: Iterable[Iterable[tuple[int, ...]]]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield the partitions of a multiplicity vector into parts of one class,
-    class by class, as tuples of part-vectors.  Every part is a sub-vector
-    of ``vector``."""
-    if not vector or not any(vector):
+    whole: int, width: int, classes: Iterable[Iterable[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of the packed vector ``whole``, ``width`` bits
+    per field, into parts of one class, class by class, as tuples of the
+    packed parts.  Every part is a sub-vector of ``whole``."""
+    if whole <= 0:
         raise ValueError("vector must have positive total multiplicity")
-    width = max(vector).bit_length() + 1
-    guard = whole = 0
-    for mult in vector:
+    guard = 0
+    for _ in range((whole.bit_length() - 1) // width + 1):
         guard = guard << width | 1 << (width - 1)
-        whole = whole << width | mult
     for parts in classes:
-        unpacked: dict = {}
         groups: dict = {}  # by top field, ascending
-        for part in parts:
-            s = 0
-            for mult in part:
-                s = s << width | mult
-            if s not in unpacked:
-                unpacked[s] = part
-                groups.setdefault((s.bit_length() - 1) // width, []).append(s)
+        for s in parts:
+            groups.setdefault((s.bit_length() - 1) // width, []).append(s)
         for group in groups.values():
             group.sort()
         # The open nodes: what remains at each, its untaken candidates, and
@@ -78,10 +72,10 @@ def vector_partitions(
                     continue
                 rest = r - s
                 if not rest:
-                    yield (*path, unpacked[s])
+                    yield (*path, s)
                     continue
                 group = groups.get((rest.bit_length() - 1) // width, ())
-                path.append(unpacked[s])
+                path.append(s)
                 rests.append(rest)
                 nodes.append(reversed(group[:bisect_right(group, s)]))
                 break

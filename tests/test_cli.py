@@ -460,12 +460,46 @@ def test_predictor_suite_reruns_from_its_inputs(runner):
     assert default["result"] != record["result"]
 
 
+@pytest.mark.parametrize("command", [("verify", "main"), ("sequence",)])
+def test_sequence_reruns_from_its_inputs(runner, command):
+    # a_8 has 16 primes, over the default budget of 14, so the record must
+    # echo the budget it ran under.
+    record = json.loads(run(runner, *command, "--max-i", "8", "--budget", "16", "--format", "json").output)
+    inputs = record["inputs"]
+    suite = (inputs["suite"],) if "suite" in inputs else ()
+    again = run(
+        runner, command[0], *suite, "--max-i", str(inputs["max_i"]),
+        "--budget", str(inputs["budget"]), "--format", "json",
+    )
+    assert again.exit_code == 0
+    assert json.loads(again.output)["inputs"] == inputs
+    assert json.loads(again.output)["result"] == record["result"]
+
+
+@pytest.mark.parametrize("command", ["elasticity", "factorizations"])
+def test_factored_commands_rerun_from_their_inputs(runner, command):
+    # 2^15 holds 15 primes, over the default budget of 14.
+    args = ("--ring", "z", "--ideal", "1", "--primes", "2:15", "--budget", "15", "--format", "json")
+    record = json.loads(run(runner, command, *args).output)
+    inputs = record["inputs"]
+    again = run(
+        runner, command, "--ring", inputs["ring"], "--ideal", inputs["ideal"],
+        "--primes", inputs["primes"], "--unit", str(inputs["unit"]),
+        "--budget", str(inputs["budget"]), "--format", "json",
+    )
+    assert again.exit_code == 0
+    assert json.loads(again.output)["inputs"] == inputs
+    assert json.loads(again.output)["result"] == record["result"]
+
+
 def test_survey_reruns_from_its_inputs(runner, monkeypatch):
-    # The seed picks the products the survey cross-checks.
-    seeds = []
+    # The seed picks the products the survey cross-checks, and the budget
+    # caps the elements it decides.
+    seeds, budgets = [], []
 
     def survey(seed, budget):
         seeds.append(seed)
+        budgets.append(budget.max_primes)
         row = verify.SurveyResult(
             modulus=1, elements=1, censuses=1, atomic_elements=1, non_atomic_elements=0,
             max_elasticity=Fraction(1), max_witness="2 = 2", attained_two=[],
@@ -474,12 +508,16 @@ def test_survey_reruns_from_its_inputs(runner, monkeypatch):
         return {1: row}
 
     monkeypatch.setattr(cli, "run_small_integer_survey", survey)
-    record = json.loads(run(runner, "verify", "hfd-z-small", "--seed", "7", "--format", "json").output)
+    record = json.loads(
+        run(runner, "verify", "hfd-z-small", "--seed", "7", "--budget", "9", "--format", "json").output
+    )
     inputs = record["inputs"]
     again = run(
-        runner, "verify", inputs["suite"], "--seed", str(inputs["seed"]), "--format", "json",
+        runner, "verify", inputs["suite"], "--seed", str(inputs["seed"]),
+        "--budget", str(inputs["budget"]), "--format", "json",
     )
     assert seeds == [7, 7]
+    assert budgets == [9, 9]
     assert json.loads(again.output)["result"] == record["result"]
 
 

@@ -25,6 +25,7 @@ from taufact.engine import (
     enumerate_tau_factorizations,
 )
 from taufact.errors import BudgetExceeded
+from taufact.partitions import vector_partitions
 from taufact.poly import Poly
 from taufact.quotient import Ideal, reduce
 from taufact.rings import Element, Ring, build_factored, expand
@@ -99,6 +100,30 @@ def test_listing_carries_each_block_product(case):
     for tf in enumerate_tau_factorizations(fe, ideal):
         assert len(tf.products) == tf.length
         assert all(tf.products[i] == expand(tf.blocks[i]) for i in range(tf.length))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(censuses())
+# Multiplicities 1, 3, 4, 7 and 8 take fields of 2, 3, 4, 4 and 5 bits.
+@example((z_element(2, 3, 3, 3, 5), Ideal(Ring.Z, 7)))
+@example((z_element(*[2] * 4, 3), Ideal(Ring.Z, 5)))
+@example((z_element(2, *[3] * 7), Ideal(Ring.Z, 1)))
+@example((z_element(*[2] * 8, 3), Ideal(Ring.Z, 3)))
+def test_kernel_and_walk_share_one_packed_layout(case):
+    """Every sub-vector unpacks to itself, packed order is lex order, and
+    every part the walk yields from the kernel's packed classes is a key
+    of the kernel's counts."""
+    fe, ideal = case
+    ctx = _Context(fe, ideal, DEFAULT_BUDGET)
+    parts = [p for p in product(*(range(e + 1) for e in ctx.vector)) if any(p)]
+    packed = [ctx.pack(p) for p in parts]
+    assert [ctx.unpack(s) for s in packed] == parts
+    assert all(a < b for a, b in zip(packed, packed[1:]))  # product() is lex order
+    assert max(ctx.vector) < 1 << (ctx.width - 1)  # a clear guard bit per field
+    groups, total = ctx.pass1()
+    classes = [[ctx.pack(p) for p in ps] for ps in groups]
+    for partition in vector_partitions(ctx.pack(ctx.vector), ctx.width, classes):
+        assert all(s in total for s in partition)
 
 
 def listing_steps(fe, ideal):

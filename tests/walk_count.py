@@ -22,8 +22,8 @@ def walk_counts():
         counts["scanned"] += index
         return index
 
-    def vector_partitions(vector, classes):
-        for partition in real_walk(vector, classes):
+    def vector_partitions(*args):
+        for partition in real_walk(*args):
             counts["examined"] += 1
             yield partition
 
