@@ -4,14 +4,15 @@ Subcommands: reduce, classify, factorizations, elasticity, sequence,
 verify.  One runner, ``_command``, registers each of them and adds its
 ``--format`` option.  A command body does the command's work and returns
 ``(inputs, result, text, csv, ok)``: the canonical inputs of the json run
-record, three zero-argument functions that render the result payload, the
-text lines and the csv lines, and the verdict.  The runner calls only the
-function that ``--format`` selects, so a run builds just the output it
-prints: text (default), csv, or the json record on one line, each in one
-write; the record echoes the command, library version and canonical
-inputs, with ``--budget`` where a command takes it, so it reruns from its
-inputs.  Timing covers the body and the rendering, and lives in a separate
-json field and never inside result payloads, so text and csv output is
+record, three zero-argument functions that render the result payload's
+JSON text (the bytes ``json.dumps`` writes), the text lines and the csv
+lines, and the verdict.  The runner calls only the function that
+``--format`` selects, so a run builds just the output it prints: text
+(default), csv, or the json record on one line, each in one write; the
+record echoes the command, library version and canonical inputs, with
+``--budget`` where a command takes it, so it reruns from its inputs.
+Timing covers the body and the rendering, and lives in a separate json
+field and never inside result payloads, so text and csv output is
 byte-stable across runs.
 
 Exit status: 0 on success, 1 on domain errors (the runner prints a
@@ -29,6 +30,7 @@ import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
+from math import prod
 
 import click
 
@@ -70,14 +72,10 @@ def _command(name: str):
             if fmt == "json":
                 if "budget" in kwargs:
                     inputs = {**inputs, "budget": kwargs["budget"].max_primes}
-                record = {
-                    "command": name,
-                    "version": __version__,
-                    "inputs": inputs,
-                    "result": result(),
-                    "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
-                }
-                click.echo(json.dumps(record))
+                head = json.dumps({"command": name, "version": __version__, "inputs": inputs})
+                payload = result()
+                timing = round((time.perf_counter() - started) * 1000.0, 3)
+                click.echo(f'{head[:-1]}, "result": {payload}, "timing_ms": {json.dumps(timing)}}}')
             else:
                 click.echo("\n".join((csv if fmt == "csv" else text)()))
             if not ok:
@@ -153,7 +151,7 @@ def cmd_reduce(ring, ideal_text, elem_text):
     elem = parse_element(elem_text, rng)
     residue = str(reduce(elem, ideal))
     inputs = {"ring": rng.value, "ideal": str(ideal), "elem": str(elem)}
-    return inputs, lambda: {"residue": residue}, lambda: [residue], lambda: ["residue", residue], True
+    return inputs, lambda: json.dumps({"residue": residue}), lambda: [residue], lambda: ["residue", residue], True
 
 
 @_command("classify")
@@ -166,20 +164,28 @@ def cmd_classify(ring, ideal_text):
     table = cayley_table(ideal)
     fingerprint, iso_class = classify(table)
     reps = [str(r) for r in table.residues]
-    rows = [[reps[k] for k in row] for row in table.product]
     inputs = {"ring": rng.value, "ideal": str(ideal)}
     counts = _record(fingerprint)
-    grid = [["*", *reps]] + [[rep, *row] for rep, row in zip(reps, rows)]
+
+    def cayley():
+        return [[reps[k] for k in row] for row in table.product]
 
     def text():
-        width = max(len(s) for s in grid[0]) + 2
+        # Each residue is padded once; a row joins the padded strings by index.
+        width = max(map(len, reps)) + 2
+        padded = [s.rjust(width) for s in reps]
         lines = [f"iso_class: {iso_class.value}", *(f"{key}: {value}" for key, value in counts.items())]
-        return lines + ["cayley:", *("".join(s.rjust(width) for s in line) for line in grid)]
+        return lines + ["cayley:", "*".rjust(width) + "".join(padded)] + [
+            padded[i] + "".join([padded[k] for k in row]) for i, row in enumerate(table.product)
+        ]
 
     def result():
-        return {"iso_class": iso_class.value, "fingerprint": counts, "residues": reps, "cayley": rows}
+        return json.dumps({"iso_class": iso_class.value, "fingerprint": counts, "residues": reps, "cayley": cayley()})
 
-    return inputs, result, text, lambda: [",".join(line) for line in grid], True
+    def csv():
+        return [",".join(["*", *reps])] + [",".join([rep, *row]) for rep, row in zip(reps, cayley())]
+
+    return inputs, result, text, csv, True
 
 
 def _parse_factored(ring, ideal_text, primes_text, unit):
@@ -202,6 +208,9 @@ def _parse_factored(ring, ideal_text, primes_text, unit):
 
 
 FACTORIZATION_COLUMNS = ("lambda", "length", "blocks", "signs", "atomic")
+# How signs and atom flags print in text and CSV, and in JSON.
+MARKS = ({1: "+", -1: "-"}, {True: "yes", False: "no"})
+JSON_MARKS = ({1: "1", -1: "-1"}, {True: "true", False: "false"})
 
 
 @_command("factorizations")
@@ -215,45 +224,36 @@ def cmd_factorizations(ring, ideal_text, primes_text, unit, budget):
     and per-block atom flags."""
     inputs, ideal, fe = _parse_factored(ring, ideal_text, primes_text, int(unit))
     listing = enumerate_tau_factorizations(fe, ideal, budget)
-    # The listing shares one product object among the factorizations a block
-    # recurs in, so each is rendered once.  Names are keyed by id, which
-    # needs no hash of the product; the listing keeps every product alive,
-    # so no id is reused.
-    names: dict = {}
+    names, atomic = [str(p) for p in listing.products], listing.atomic  # per distinct block
 
-    def blocks(tf):
-        return [names.get(id(p)) or names.setdefault(id(p), str(p)) for p in tf.products]
+    def shown(names, marks, flags):
+        """Per factorization: lambda, length, its blocks' names, signs and
+        atom flags, and whether all are atoms, rendered by the given maps."""
+        for row in listing.rows:
+            signs, atoms = listing.signs(row), [atomic[k] for k in row]
+            blocks = [names[k] for k in row]
+            yield fe.unit * prod(signs), len(row), blocks, map(marks.get, signs), map(flags.get, atoms), flags[all(atoms)]
 
     def result():
-        payload = [
-            {
-                "lambda": tf.lam,
-                "blocks": blocks(tf),
-                "signs": list(tf.signs),
-                "length": tf.length,
-                "blocks_atomic": list(tf.atomic),
-                "atomic": all(tf.atomic),
-            }
-            for tf in listing
-        ]
-        return {"count": len(payload), "factorizations": payload}
-
-    def shown():
-        """The rows of text and CSV, which show signs as +/- and the atomic
-        flag as yes/no."""
-        for tf in listing:
-            signs = ["+" if s > 0 else "-" for s in tf.signs]
-            atomic = "yes" if all(tf.atomic) else "no"
-            yield {"lambda": tf.lam, "length": tf.length, "blocks": blocks(tf), "signs": signs, "atomic": atomic}
+        rows = ", ".join(
+            f'{{"lambda": {lam}, "blocks": [{", ".join(blocks)}], "signs": [{", ".join(signs)}], "length": {n}, '
+            f'"blocks_atomic": [{", ".join(flags)}], "atomic": {every}}}'
+            for lam, n, blocks, signs, flags, every in shown(list(map(json.dumps, names)), *JSON_MARKS)
+        )
+        return f'{{"count": {len(listing)}, "factorizations": [{rows}]}}'
 
     def text():
         return [f"count: {len(listing)}"] + [
-            f"lambda={r['lambda']:+d} length={r['length']} blocks=[{', '.join(r['blocks'])}] "
-            f"signs=[{','.join(r['signs'])}] atomic={r['atomic']}"
-            for r in shown()
+            f"lambda={lam:+d} length={n} blocks=[{', '.join(blocks)}] signs=[{','.join(signs)}] atomic={every}"
+            for lam, n, blocks, signs, _, every in shown(names, *MARKS)
         ]
 
-    return inputs, result, text, lambda: _csv(shown(), FACTORIZATION_COLUMNS), True
+    def csv():
+        return [",".join(FACTORIZATION_COLUMNS)] + [
+            f"{lam},{n},{'|'.join(blocks)},{'|'.join(signs)},{every}" for lam, n, blocks, signs, _, every in shown(names, *MARKS)
+        ]
+
+    return inputs, result, text, csv, True
 
 
 @_command("elasticity")
@@ -270,7 +270,7 @@ def cmd_elasticity(ring, ideal_text, primes_text, unit, budget):
     def text():
         return [f"{key}: {value}" for key, value in result.items()]
 
-    return inputs, lambda: result, text, lambda: _csv([result], list(result)), True
+    return inputs, lambda: json.dumps(result), text, lambda: _csv([result], list(result)), True
 
 
 SEQUENCE_COLUMNS = ("i", "min_len", "max_len", "elasticity")
@@ -285,7 +285,7 @@ def cmd_sequence(max_i, budget):
     inputs = {"max_i": max_i, "ideal": str(SUITE_IDEALS["lemma4"])}
 
     def result():
-        return {"rows": [{c: record[c] for c in SEQUENCE_COLUMNS} for record in records]}
+        return json.dumps({"rows": [{c: record[c] for c in SEQUENCE_COLUMNS} for record in records]})
 
     def lines():
         return _csv(records, SEQUENCE_COLUMNS)
@@ -359,7 +359,7 @@ def cmd_verify(suite, samples, seed, max_i, bound, budget):
         summary = [f"suite={suite}", *(f"{k}={v}" for k, v in tally.items()), f"pass={ok}"]
         return lines + [" ".join(summary)]
 
-    return inputs, lambda: {**before, "pass": ok, **after}, text, lambda: _csv(records, columns), ok
+    return inputs, lambda: json.dumps({**before, "pass": ok, **after}), text, lambda: _csv(records, columns), ok
 
 
 if __name__ == "__main__":

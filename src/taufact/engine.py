@@ -18,18 +18,17 @@ reproducible.
 
 Only residues decide the classes, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
-residue.  The listing keeps one row per distinct block the walk meets: its
-product, built by the same recursion, gives the sort key, and every
-partition only looks its rows up.  Each factorization also carries its
-blocks' products, so a caller that prints them multiplies nothing out again.
-The kernel and the walk share one packed layout: a sub-vector is one int,
-coordinate 0 most significant, each field one guard bit wider than the
-largest multiplicity needs, so sums under the vector never carry and numeric
-order is lex order.  The listing runs the counting kernel below first, then
-streams the partitions of each class's packed sub-vectors from
-``vector_partitions``; the kernel's counts bound the blocks that walk
-examines before it starts, flag each block as a tau-atom or not, and its
-count of the whole must equal the listing's length.
+residue.  The kernel and the walk share one packed layout: a sub-vector is
+one int, coordinate 0 most significant, each field one guard bit wider than
+the largest multiplicity needs, so sums under the vector never carry and
+numeric order is lex order.  The listing runs the counting kernel below
+first: its counts bound the blocks the walk examines, flag each block as a
+tau-atom or not, and pick the classes that partition the whole vector, the
+only ones ``vector_partitions`` walks.  The listing is a table with one
+entry per distinct block, ranked by its product's sort key (the product is
+built by the same recursion, on ints or coefficient lists), and one row of
+ascending ranks per factorization, whose count must equal the kernel's.
+Items are built from the rows on access; a printer reads the rows.
 
 Counts need no listing.  For each sign class K, a knapsack over the
 sub-vectors of class K counts the multisets of them summing to each
@@ -45,17 +44,19 @@ on exploration order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import Optional
 
 from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
+from .poly import Poly, convolve
 from .quotient import Ideal, reduce, residue_ops
-from .rings import Element, FactoredElement
+from .rings import Element, FactoredElement, Ring
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,10 @@ DEFAULT_BUDGET = EnumerationBudget()
 class TauFactorization:
     """One factorization: unit lambda, canonically ordered blocks, a sign
     witness proving pairwise congruence of the signed blocks, whether each
-    block is a tau-atom, and each block's product, in block order.  The
-    listing fills ``atomic`` and ``products``, sharing one product object
-    among the factorizations a block recurs in; a hand-built factorization
-    carries neither."""
+    block is a tau-atom, and each block's product, in block order.  A
+    ``TauListing`` builds its items on access from rows of block ranks, with
+    ``atomic`` and ``products`` from its table of distinct blocks; a
+    hand-built factorization carries neither."""
 
     lam: int
     blocks: tuple[FactoredElement, ...]
@@ -147,9 +148,10 @@ class _Context:
         mask = (1 << self.width) - 1
         return tuple(s >> shift & mask for shift in self.shifts)
 
-    def pass1(self) -> tuple[list, dict]:
-        """The nonzero sub-vectors grouped by sign class, and the number of
-        tau-factorizations of each, keyed packed."""
+    def pass1(self) -> tuple[list, dict, list]:
+        """The nonzero sub-vectors grouped by sign class, the number of
+        tau-factorizations of each, keyed packed, and the classes that
+        partition the whole vector."""
         steps = prod(comb(e + 2, 2) for e in self.vector) - prod(e + 1 for e in self.vector)
         if steps > self.budget.max_partitions:
             raise BudgetExceeded(
@@ -161,10 +163,14 @@ class _Context:
                 residue = self.build(part, self.residues, self._prime_residues, self._mul)
                 groups.setdefault(frozenset((residue, self._neg(residue))), []).append(part)
         total: dict = {}
+        whole, live = self.pack(self.vector), []
         for parts in groups.values():
-            for w, c in self.knapsack(parts, 0).items():
+            counts = self.knapsack(parts, 0)
+            if whole in counts:
+                live.append(parts)
+            for w, c in counts.items():
                 total[w] = total.get(w, 0) + c
-        return list(groups.values()), total
+        return list(groups.values()), total, live
 
     def knapsack(self, parts: list[tuple[int, ...]], width: int) -> dict:
         """The multisets of ``parts`` that sum to each packed w <= v, graded
@@ -193,7 +199,7 @@ class _Context:
     def atomic_counts(self) -> tuple[int, list[int]]:
         """The number of tau-factorizations of the whole vector, and its
         atomic factorizations by length: entry n counts those of n atoms."""
-        groups, total = self.pass1()
+        groups, total, _ = self.pass1()
         whole = self.pack(self.vector)
         # No length has more atomic factorizations than there are
         # factorizations, so every field of the classes' sum fits this width.
@@ -229,45 +235,73 @@ class _Context:
         return FactoredElement(self.fe.ring, 1, factors)
 
 
+class TauListing(Sequence):
+    """The tau-factorizations of one element, in canonical order, as rows of
+    ascending block ranks; rank k, the k-th distinct block by its product's
+    sort key, has ``products[k]``, ``residues[k]`` (equal residues are one
+    object), ``atomic[k]`` and packed part ``parts[k]``.  Items are
+    TauFactorization values, built on access."""
+
+    def __init__(self, ctx: _Context, rows: list[tuple[int, ...]], table: list[tuple]):
+        self._ctx, self.rows = ctx, rows
+        self.parts, self.products, self.residues, self.atomic = zip(*table)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def signs(self, row: tuple[int, ...]) -> tuple[int, ...]:
+        """The witness: +1 for a block whose residue is the lead block's."""
+        lead = self.residues[row[0]]
+        return tuple([1 if self.residues[k] is lead else -1 for k in row])
+
+    def __getitem__(self, i: int) -> TauFactorization:
+        row, ctx = self.rows[i], self._ctx
+        signs = self.signs(row)
+        blocks = tuple(ctx.block(ctx.unpack(self.parts[k])) for k in row)
+        atomic, products = (tuple(column[k] for k in row) for column in (self.atomic, self.products))
+        return TauFactorization(ctx.fe.unit * prod(signs), blocks, signs, atomic, products)
+
+
 def enumerate_tau_factorizations(
     fe: FactoredElement, ideal: Ideal, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[TauFactorization]:
+) -> TauListing:
     """Every tau-factorization of fe, deduplicated up to block order and
     associates, in canonical (length, blocks) order, with per-block atom
     flags.  Includes the trivial length-1 factorization."""
     ctx = _Context(fe, ideal, budget)
-    groups, total = ctx.pass1()
+    groups, total, live = ctx.pass1()
     # Each block the walk examines closes a nonempty multiset of one class's
     # blocks that fits under the vector, and no two close the same one.  The
     # class's knapsack counted exactly those multisets, plus the empty one.
     steps = sum(total.values()) - len(groups)
     if steps > budget.max_partitions:
         raise BudgetExceeded(f"{steps} listing steps exceed the budget of {budget.max_partitions}")
-    # Blocks recur across partitions, so each distinct packed part is
-    # unpacked once, for its row: (sort key of its product, product, block,
-    # residue, atom flag).  pass1 built its residue; its product is built the
-    # same way, and is the one object every factorization holding that block
-    # carries in ``products``.
     whole = ctx.pack(ctx.vector)
-    classes = [[ctx.pack(p) for p in parts] for parts in groups]
-    products: dict = {}
-    rows: dict = {}
-    found = []
-    for partition in vector_partitions(whole, ctx.width, classes):
-        for s in partition:
-            if s not in rows:
-                part = ctx.unpack(s)
-                value = ctx.build(part, products, ctx.primes, mul)
-                rows[s] = (value.sort_key, value, ctx.block(part), ctx.residues[part], total[s] == 1)
-        # Sorting fixes which block leads, hence the witness.
-        keys, values, blocks, residues, atomic = zip(*sorted(map(rows.__getitem__, partition), key=itemgetter(0)))
-        signs = tuple(1 if r == residues[0] else -1 for r in residues)
-        lam = fe.unit * prod(signs)
-        found.append(((len(keys), keys), TauFactorization(lam, blocks, signs, atomic, values)))
-    found.sort(key=lambda item: item[0])
+    found = list(vector_partitions(whole, ctx.width, [[ctx.pack(p) for p in parts] for parts in live]))
     if len(found) != total[whole]:
         raise InternalCheckFailed(f"listed {len(found)} tau-factorizations, the kernel counts {total[whole]}")
-    return [tf for _, tf in found]
+    # One table entry per distinct block.  pass1 built its residue; its
+    # product is built the same way, on ints or coefficient lists.
+    z = fe.ring is Ring.Z
+    leaves = tuple(p.value if z else p.value.coeffs for p in ctx.primes)
+    times, wrap = (mul, Element.integer) if z else (convolve, lambda c: Element.polynomial(Poly(c)))
+    plain, shared, table = {}, {}, []
+    for s in set().union(*found):
+        part = ctx.unpack(s)
+        residue = shared.setdefault(ctx.residues[part], ctx.residues[part])
+        table.append((s, wrap(ctx.build(part, plain, leaves, times)), residue, total[s] == 1))
+    table.sort(key=lambda entry: entry[1].sort_key)
+    rank = {entry[0]: k for k, entry in enumerate(table)}
+    for i, partition in enumerate(found):
+        found[i] = tuple(sorted(map(rank.__getitem__, partition)))
+    # Distinct blocks have distinct keys, so ranks compare as keys do, and
+    # rows sorted by ranks, then stably by length, are in canonical order.
+    found.sort()
+    found.sort(key=len)
+    return TauListing(ctx, found, table)
 
 
 def elasticity(

@@ -88,26 +88,19 @@ class Poly:
         return Poly(convolve(self.coeffs, other.coeffs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficient(power)
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            else:
-                xpart = "x" if power == 1 else f"x^{power}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+        terms = []
+        for power in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[power]
+            if c:
+                mag = abs(c)
+                if power == 0:
+                    body = str(mag)
+                else:
+                    xpart = "x" if power == 1 else f"x^{power}"
+                    body = xpart if mag == 1 else f"{mag}*{xpart}"
+                terms.append(("-" if c < 0 else "+") + body)
+        text = "".join(terms)
+        return text.removeprefix("+") if text else "0"
 
 
 def convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

@@ -165,6 +165,30 @@ def test_factorizations_builds_one_context(runner, monkeypatch):
         assert len(built) == 1
 
 
+def test_factorizations_prints_from_rows_without_per_factorization_objects(runner, monkeypatch):
+    """Every format renders the recurring-block golden straight from the
+    listing's rows: no TauFactorization and no block FactoredElement."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        raise AssertionError("a per-factorization object was built")
+
+    monkeypatch.setattr(engine, "TauFactorization", counting)
+    monkeypatch.setattr(engine._Context, "block", counting)
+    for fmt, golden in (("text", ""), ("csv", "_csv"), ("json", "_json")):
+        result = run(
+            runner, "factorizations", "--ideal", "3, x^2+1",
+            "--primes", "x:2, x+1:2, x^2+x+1:1, x^3+x+1:1", "--format", fmt,
+        )
+        expected = (GOLDENS / f"factorizations_3_x2p1{golden}.txt").read_text()
+        if fmt == "json":
+            assert json.dumps(json.loads(result.output)["result"], indent=2) + "\n" == expected
+        else:
+            assert result.output == expected
+    assert built == []
+
+
 @pytest.mark.parametrize("fmt,golden", [("text", ""), ("csv", "_csv")])
 def test_factorizations_are_written_at_once(runner, monkeypatch, fmt, golden):
     writes = []

@@ -3,7 +3,8 @@
 Each case runs one CLI command in process and compares its output with
 ``tests/goldens/<name>.txt`` byte for byte.  A ``json`` case keeps only the
 run record's ``result`` (``timing_ms`` varies between runs), written as
-``json.dumps(result, indent=2)`` plus a newline.
+``json.dumps(result, indent=2)`` plus a newline; the record itself must be
+the bytes ``json.dumps`` writes for it.
 
 The files are regenerated only by hand, and only when a change of output
 is intended.  ``taufact`` below stands for the installed script or for
@@ -99,7 +100,9 @@ def render(fmt, args):
     assert result.exit_code == 0, result.output
     if fmt != "json":
         return result.output
-    return json.dumps(json.loads(result.output)["result"], indent=2) + "\n"
+    record = json.loads(result.output)
+    assert json.dumps(record) + "\n" == result.output  # the bytes json.dumps writes
+    return json.dumps(record["result"], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -120,7 +120,7 @@ def test_kernel_and_walk_share_one_packed_layout(case):
     assert [ctx.unpack(s) for s in packed] == parts
     assert all(a < b for a, b in zip(packed, packed[1:]))  # product() is lex order
     assert max(ctx.vector) < 1 << (ctx.width - 1)  # a clear guard bit per field
-    groups, total = ctx.pass1()
+    groups, total = ctx.pass1()[:2]
     classes = [[ctx.pack(p) for p in ps] for ps in groups]
     for partition in vector_partitions(ctx.pack(ctx.vector), ctx.width, classes):
         assert all(s in total for s in partition)
@@ -129,7 +129,7 @@ def test_kernel_and_walk_share_one_packed_layout(case):
 def listing_steps(fe, ideal):
     """The listing's bound, the kernel's count of nonempty multisets of one
     class's blocks that fit under the vector, and the number of classes."""
-    groups, total = _Context(fe, ideal, DEFAULT_BUDGET).pass1()
+    groups, total = _Context(fe, ideal, DEFAULT_BUDGET).pass1()[:2]
     return sum(total.values()) - len(groups), len(groups)
 
 
@@ -155,6 +155,36 @@ def test_listing_steps_on_the_worked_examples():
     # 231,949 blocks (test_walk_examines_only_parts_that_fit).
     ten = z_element(2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     assert listing_steps(ten, ideal) == (678_569, 1)
+
+
+def test_dead_classes_never_reach_the_walk():
+    """2^2 3^2 5 7 modulo 12 has seven classes, and five of them cannot
+    partition the whole vector; the walk gets only classes that yield a
+    partition, and the listing still has its three factorizations."""
+    fe, ideal = z_element(2, 2, 3, 3, 5, 7), Ideal(Ring.Z, 12)
+    assert listing_steps(fe, ideal)[1] == 7
+    with walk_counts() as counts:
+        listed = enumerate_tau_factorizations(fe, ideal)
+    [(whole, width, classes)] = counts["walks"]
+    assert len(classes) == 2
+    for parts in classes:
+        assert next(vector_partitions(whole, width, [parts]), None) is not None
+    assert len(listed) == elasticity(fe, ideal).factorization_count == 3
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(censuses())
+def test_listing_is_a_sequence_of_its_factorizations(case):
+    """The listing's length is the kernel's count, and indexing, negative
+    indices included, gives what iteration gives."""
+    fe, ideal = case
+    listed = enumerate_tau_factorizations(fe, ideal)
+    assert len(listed) == elasticity(fe, ideal).factorization_count
+    items = list(listed)
+    assert items == [listed[i] for i in range(len(listed))]
+    assert items[::-1] == [listed[-i] for i in range(1, len(listed) + 1)]
+    with pytest.raises(IndexError):
+        listed[len(listed)]
 
 
 @pytest.mark.parametrize(

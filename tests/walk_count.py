@@ -12,8 +12,9 @@ def walk_counts():
     binding of it.  A taken part either closes a partition, which the walk
     yields, or opens a node, which bisects its top field once; the root of a
     class's walk bisects nothing.  ``scanned`` counts the parts those nodes
-    scan, fitting or not: the parts of the top field below the bisection."""
-    counts = {"examined": 0, "scanned": 0}
+    scan, fitting or not: the parts of the top field below the bisection.
+    ``walks`` lists each call's arguments, its classes as lists."""
+    counts = {"examined": 0, "scanned": 0, "walks": []}
     real_bisect, real_walk = partitions.bisect_right, partitions.vector_partitions
 
     def bisect_right(group, bound):
@@ -22,8 +23,10 @@ def walk_counts():
         counts["scanned"] += index
         return index
 
-    def vector_partitions(*args):
-        for partition in real_walk(*args):
+    def vector_partitions(whole, width, classes):
+        classes = [list(parts) for parts in classes]
+        counts["walks"].append((whole, width, classes))
+        for partition in real_walk(whole, width, classes):
             counts["examined"] += 1
             yield partition
 
