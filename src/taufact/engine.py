@@ -28,7 +28,7 @@ only ones ``vector_partitions`` walks.  The listing is a table with one
 entry per distinct block, ranked by its product's sort key (the product is
 built by the same recursion, on ints or coefficient lists), and one row of
 ascending ranks per factorization, whose count must equal the kernel's.
-Items are built from the rows on access; a printer reads the rows.
+The rows are the listing's only form; a printer reads them as they are.
 
 Counts need no listing.  For each sign class K, a knapsack over the
 sub-vectors of class K counts the multisets of them summing to each
@@ -44,7 +44,6 @@ on exploration order.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -81,22 +80,14 @@ DEFAULT_BUDGET = EnumerationBudget()
 
 @dataclass(frozen=True)
 class TauFactorization:
-    """One factorization: unit lambda, canonically ordered blocks, a sign
-    witness proving pairwise congruence of the signed blocks, whether each
-    block is a tau-atom, and each block's product, in block order.  A
-    ``TauListing`` builds its items on access from rows of block ranks, with
-    ``atomic`` and ``products`` from its table of distinct blocks; a
-    hand-built factorization carries neither."""
+    """One factorization written out, as a soundness check reads it: unit
+    lambda, blocks and a sign witness proving pairwise congruence of the
+    signed blocks.  The listing holds rows of block ranks instead
+    (``TauListing``)."""
 
     lam: int
     blocks: tuple[FactoredElement, ...]
     signs: tuple[int, ...]
-    atomic: tuple[bool, ...] = ()
-    products: tuple[Element, ...] = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,7 @@ class _Context:
     layout (module docstring), ``width`` bits per field."""
 
     __slots__ = (
-        "fe", "budget", "primes", "vector", "width", "shifts", "residues",
+        "budget", "primes", "vector", "width", "shifts", "residues",
         "_prime_residues", "_mul", "_neg",
     )
 
@@ -131,7 +122,6 @@ class _Context:
             raise BudgetExceeded(
                 f"{total} primes exceed the budget of {budget.max_primes}"
             )
-        self.fe = fe
         self.budget = budget
         self.primes = tuple(p for p, _ in fe.factors)
         self.vector = tuple(exp for _, exp in fe.factors)
@@ -228,41 +218,25 @@ class _Context:
             cache[part] = value
         return value
 
-    def block(self, part: tuple[int, ...]) -> FactoredElement:
-        factors = tuple(
-            (prime, mult) for prime, mult in zip(self.primes, part) if mult
-        )
-        return FactoredElement(self.fe.ring, 1, factors)
 
-
-class TauListing(Sequence):
+class TauListing:
     """The tau-factorizations of one element, in canonical order, as rows of
     ascending block ranks; rank k, the k-th distinct block by its product's
     sort key, has ``products[k]``, ``residues[k]`` (equal residues are one
-    object), ``atomic[k]`` and packed part ``parts[k]``.  Items are
-    TauFactorization values, built on access."""
+    object), ``atomic[k]`` and ``parts[k]``, its multiplicity vector over
+    the element's factors."""
 
-    def __init__(self, ctx: _Context, rows: list[tuple[int, ...]], table: list[tuple]):
-        self._ctx, self.rows = ctx, rows
+    def __init__(self, rows: list[tuple[int, ...]], table: list[tuple]):
+        self.rows = rows
         self.parts, self.products, self.residues, self.atomic = zip(*table)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
     def signs(self, row: tuple[int, ...]) -> tuple[int, ...]:
         """The witness: +1 for a block whose residue is the lead block's."""
         lead = self.residues[row[0]]
         return tuple([1 if self.residues[k] is lead else -1 for k in row])
-
-    def __getitem__(self, i: int) -> TauFactorization:
-        row, ctx = self.rows[i], self._ctx
-        signs = self.signs(row)
-        blocks = tuple(ctx.block(ctx.unpack(self.parts[k])) for k in row)
-        atomic, products = (tuple(column[k] for k in row) for column in (self.atomic, self.products))
-        return TauFactorization(ctx.fe.unit * prod(signs), blocks, signs, atomic, products)
 
 
 def enumerate_tau_factorizations(
@@ -292,16 +266,16 @@ def enumerate_tau_factorizations(
     for s in set().union(*found):
         part = ctx.unpack(s)
         residue = shared.setdefault(ctx.residues[part], ctx.residues[part])
-        table.append((s, wrap(ctx.build(part, plain, leaves, times)), residue, total[s] == 1))
+        table.append((part, wrap(ctx.build(part, plain, leaves, times)), residue, total[s] == 1))
     table.sort(key=lambda entry: entry[1].sort_key)
-    rank = {entry[0]: k for k, entry in enumerate(table)}
+    rank = {ctx.pack(entry[0]): k for k, entry in enumerate(table)}
     for i, partition in enumerate(found):
         found[i] = tuple(sorted(map(rank.__getitem__, partition)))
     # Distinct blocks have distinct keys, so ranks compare as keys do, and
     # rows sorted by ranks, then stably by length, are in canonical order.
     found.sort()
     found.sort(key=len)
-    return TauListing(ctx, found, table)
+    return TauListing(found, table)
 
 
 def elasticity(

@@ -69,11 +69,6 @@ class Poly:
             g = gcd(g, c)
         return g
 
-    def coefficient(self, power: int) -> int:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return 0
-
     @property
     def sort_key(self) -> tuple:
         """Total order: by degree, then coefficients from leading down."""

@@ -7,7 +7,7 @@ hold; run with ``pytest -s tests/test_acceptance.py -v`` to see them.
 import itertools
 from fractions import Fraction
 
-from taufact.engine import elasticity, enumerate_tau_factorizations
+from taufact.engine import elasticity
 from taufact.poly import Poly
 from taufact.quotient import (
     Ideal,
@@ -23,6 +23,7 @@ from taufact.verify import (
     run_small_integer_survey,
 )
 
+from listing_items import factorizations
 from naive_oracle import (
     assert_factorization_sound,
     naive_atomic_lengths,
@@ -56,7 +57,7 @@ def test_criterion_2_worked_examples():
     assert report.elasticity == 1
 
     twenty_eight = build_factored(Ring.Z, 1, [(Element.integer(2), 2), (Element.integer(7), 1)])
-    facs = enumerate_tau_factorizations(twenty_eight, ideal)
+    facs = factorizations(twenty_eight, ideal)
     multisets = {tuple(str(expand(b)) for b in tf.blocks) for tf in facs}
     assert multisets == {("28",), ("4", "7"), ("2", "14"), ("2", "2", "7")}
     atomic = [
@@ -200,7 +201,7 @@ def test_criterion_7_oracle_self_consistency():
                     tally[p] = tally.get(p, 0) + 1
                 fe = build_factored(Ring.ZX, 1, list(tally.items()))
 
-                facs = enumerate_tau_factorizations(fe, ideal)
+                facs = factorizations(fe, ideal)
                 for tf in facs:
                     assert_factorization_sound(tf, fe, ideal)
 

@@ -167,7 +167,7 @@ def test_factorizations_builds_one_context(runner, monkeypatch):
 
 def test_factorizations_prints_from_rows_without_per_factorization_objects(runner, monkeypatch):
     """Every format renders the recurring-block golden straight from the
-    listing's rows: no TauFactorization and no block FactoredElement."""
+    listing's rows: no TauFactorization is built."""
     built = []
 
     def counting(*args):
@@ -175,7 +175,6 @@ def test_factorizations_prints_from_rows_without_per_factorization_objects(runne
         raise AssertionError("a per-factorization object was built")
 
     monkeypatch.setattr(engine, "TauFactorization", counting)
-    monkeypatch.setattr(engine._Context, "block", counting)
     for fmt, golden in (("text", ""), ("csv", "_csv"), ("json", "_json")):
         result = run(
             runner, "factorizations", "--ideal", "3, x^2+1",

@@ -14,6 +14,7 @@ from taufact.poly import Poly
 from taufact.quotient import Ideal
 from taufact.rings import Element, FactoredElement, Ring, build_factored, expand
 
+from listing_items import factorizations
 from naive_oracle import (
     assert_factorization_sound,
     naive_atomic_lengths,
@@ -43,14 +44,14 @@ def block_values(tf):
 
 def atomic_factorizations(fe, ideal):
     return [
-        tf for tf in enumerate_tau_factorizations(fe, ideal)
+        tf for tf in factorizations(fe, ideal)
         if all(elasticity(b, ideal).factorization_count == 1 for b in tf.blocks)
     ]
 
 
 def test_28_mod_3_factorizations():
     fe = z_factored((2, 2), (7, 1))
-    facs = enumerate_tau_factorizations(fe, I3)
+    facs = factorizations(fe, I3)
     assert [tf.length for tf in facs] == [1, 2, 2, 3]
     flags = {tuple(str(v) for v in block_values(tf)): tf.atomic for tf in facs}
     assert flags == {
@@ -68,14 +69,14 @@ def test_28_mod_3_factorizations():
 
 def test_x_xp1_single_factorization():
     fe = build_factored(Ring.ZX, 1, [(X, 1), (XP1, 1)])
-    facs = enumerate_tau_factorizations(fe, IX2PX)
+    facs = factorizations(fe, IX2PX)
     assert len(facs) == 1
     assert facs[0].length == 1
 
 
 def test_single_prime_trivial_only():
     for fe, ideal in [(z_factored((7, 1)), I3), (build_factored(Ring.ZX, 1, [(X, 1)]), IX2PX)]:
-        facs = enumerate_tau_factorizations(fe, ideal)
+        facs = factorizations(fe, ideal)
         assert len(facs) == 1 and facs[0].length == 1
         assert elasticity(fe, ideal).factorization_count == 1
 
@@ -136,7 +137,7 @@ def test_elasticity_counts_are_consistent():
     report = elasticity(fe, I3)
     assert report.factorization_count == len(enumerate_tau_factorizations(fe, I3))
     assert report.atomic_count == len(atomic_factorizations(fe, I3))
-    assert report.atomic_lengths <= {tf.length for tf in enumerate_tau_factorizations(fe, I3)}
+    assert report.atomic_lengths <= {tf.length for tf in factorizations(fe, I3)}
 
 
 def test_input_guards():
@@ -152,10 +153,8 @@ def test_budget_guards():
             z_factored((2, 3), (3, 2)), I3, EnumerationBudget(max_primes=4)
         )
     with pytest.raises(BudgetExceeded):
-        list(
-            enumerate_tau_factorizations(
-                z_factored((2, 3), (3, 3)), I3, EnumerationBudget(max_partitions=3)
-            )
+        enumerate_tau_factorizations(
+            z_factored((2, 3), (3, 3)), I3, EnumerationBudget(max_partitions=3)
         )
 
 
@@ -226,8 +225,8 @@ def test_associate_invariance():
 
 def test_determinism_across_runs():
     fe = z_factored((2, 2), (3, 1), (7, 1))
-    first = [(tf.lam, block_values(tf), tf.signs) for tf in enumerate_tau_factorizations(fe, I3)]
-    second = [(tf.lam, block_values(tf), tf.signs) for tf in enumerate_tau_factorizations(fe, I3)]
+    first = [(tf.lam, block_values(tf), tf.signs) for tf in factorizations(fe, I3)]
+    second = [(tf.lam, block_values(tf), tf.signs) for tf in factorizations(fe, I3)]
     assert first == second
 
 
@@ -271,7 +270,7 @@ def test_soundness_reverified_on_random_inputs():
     ]
     for ideal in ideals:
         for fe in elements:
-            for tf in enumerate_tau_factorizations(fe, ideal):
+            for tf in factorizations(fe, ideal):
                 assert_factorization_sound(tf, fe, ideal)
 
 
@@ -286,7 +285,7 @@ def test_soundness_reverified_on_random_inputs():
 )
 def test_engine_matches_naive_z(parts, ideal):
     fe = z_factored(*parts)
-    ours = {block_values(tf) for tf in enumerate_tau_factorizations(fe, ideal)}
+    ours = {block_values(tf) for tf in factorizations(fe, ideal)}
     assert ours == naive_factorizations(fe, ideal)
     instances = [Element.integer(p) for p, e in parts for _ in range(e)]
     assert (elasticity(fe, ideal).factorization_count == 1) == naive_is_atom(instances, ideal)
@@ -296,7 +295,7 @@ def test_engine_matches_naive_z(parts, ideal):
 
 def test_engine_matches_naive_zx():
     fe = build_factored(Ring.ZX, 1, [(X, 2), (XP1, 2)])
-    ours = {block_values(tf) for tf in enumerate_tau_factorizations(fe, IX2PX)}
+    ours = {block_values(tf) for tf in factorizations(fe, IX2PX)}
     assert ours == naive_factorizations(fe, IX2PX)
     report = elasticity(fe, IX2PX)
     assert report.atomic_lengths == frozenset(naive_atomic_lengths(fe, IX2PX))
@@ -305,7 +304,7 @@ def test_engine_matches_naive_zx():
 def test_engine_matches_naive_six_primes():
     fe = z_factored((2, 3), (3, 2), (5, 1))
     ideal = Ideal(Ring.Z, 4)
-    ours = {block_values(tf) for tf in enumerate_tau_factorizations(fe, ideal)}
+    ours = {block_values(tf) for tf in factorizations(fe, ideal)}
     assert ours == naive_factorizations(fe, ideal)
     report = elasticity(fe, ideal)
     assert report.atomic_lengths == frozenset(naive_atomic_lengths(fe, ideal))
@@ -338,7 +337,7 @@ def test_engine_matches_naive_on_other_ideals(ideal, pool):
         for prime in combo:
             tally[prime] = tally.get(prime, 0) + 1
         fe = build_factored(ideal.ring, rng.choice((1, -1)), list(tally.items()))
-        facs = enumerate_tau_factorizations(fe, ideal)
+        facs = factorizations(fe, ideal)
         for tf in facs:
             assert_factorization_sound(tf, fe, ideal)
         expected = naive_factorizations(fe, ideal)

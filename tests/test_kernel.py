@@ -31,6 +31,7 @@ from taufact.quotient import Ideal, reduce
 from taufact.rings import Element, Ring, build_factored, expand
 from taufact.verify import SUITE_IDEALS
 
+from listing_items import factorizations, item, items
 from walk_count import walk_counts
 
 Z_PRIMES = [Element.integer(p) for p in (2, 3, 5, 7, 11, 13, 17)]
@@ -62,7 +63,7 @@ def censuses(draw):
 @example((z_element(2, 2, 3), Ideal(Ring.Z, 7)))
 def test_kernel_counts_what_the_enumerator_lists(case):
     fe, ideal = case
-    listed = enumerate_tau_factorizations(fe, ideal)
+    listed = factorizations(fe, ideal)
     report = elasticity(fe, ideal)
     assert report.factorization_count == len(listed)
     single = {
@@ -82,7 +83,7 @@ def test_listing_order_and_signs_follow_from_the_block_products(case):
     """Block order, listing order and sign witnesses, recomputed from each
     block's expanded product and its residue alone."""
     fe, ideal = case
-    listed = enumerate_tau_factorizations(fe, ideal)
+    listed = factorizations(fe, ideal)
     keys = [tuple(expand(b).sort_key for b in tf.blocks) for tf in listed]
     assert all(list(k) == sorted(k) for k in keys)
     order = [(len(k), k) for k in keys]
@@ -97,7 +98,7 @@ def test_listing_order_and_signs_follow_from_the_block_products(case):
 @given(censuses())
 def test_listing_carries_each_block_product(case):
     fe, ideal = case
-    for tf in enumerate_tau_factorizations(fe, ideal):
+    for tf in factorizations(fe, ideal):
         assert len(tf.products) == tf.length
         assert all(tf.products[i] == expand(tf.blocks[i]) for i in range(tf.length))
 
@@ -175,16 +176,20 @@ def test_dead_classes_never_reach_the_walk():
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(censuses())
 def test_listing_is_a_sequence_of_its_factorizations(case):
-    """The listing's length is the kernel's count, and indexing, negative
-    indices included, gives what iteration gives."""
+    """The listing's length is the kernel's count, one row of ascending
+    ranks per factorization, using every entry of its table of distinct
+    blocks; reading the rows by index, negative indices included, gives
+    what reading them in order gives."""
     fe, ideal = case
     listed = enumerate_tau_factorizations(fe, ideal)
     assert len(listed) == elasticity(fe, ideal).factorization_count
-    items = list(listed)
-    assert items == [listed[i] for i in range(len(listed))]
-    assert items[::-1] == [listed[-i] for i in range(1, len(listed) + 1)]
+    assert all(list(row) == sorted(row) for row in listed.rows)
+    assert set().union(*listed.rows) == set(range(len(listed.products)))
+    read = items(listed, fe)
+    assert read == [item(listed, fe, listed.rows[i]) for i in range(len(listed))]
+    assert read[::-1] == [item(listed, fe, listed.rows[-i]) for i in range(1, len(listed) + 1)]
     with pytest.raises(IndexError):
-        listed[len(listed)]
+        listed.rows[len(listed)]
 
 
 @pytest.mark.parametrize(
@@ -282,7 +287,7 @@ def outcome(decide, fe, ideal, budget):
         return f"BudgetExceeded: {exc}"
 
 
-DECIDERS = (enumerate_tau_factorizations, elasticity)
+DECIDERS = (factorizations, elasticity)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
