@@ -18,9 +18,15 @@ reproducible.
 
 Only residues decide the classes, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
-residue.  The kernel and the walk share one packed layout: a sub-vector is
-one int, coordinate 0 most significant, each field one guard bit wider than
-the largest multiplicity needs, so sums under the vector never carry and
+residue.  Over Z[x] the kernel's residues are canonical ``Poly``
+representatives, compared and hashed without the ideal, which one call
+never changes; a ``Residue`` is built once per prime by ``reduce``, and
+once per distinct residue of the listing's table.  Over Z they are still
+``Residue`` values, through ``reduce``, until ROADMAP item 1.
+
+The kernel and the walk share one packed layout: a sub-vector is one int,
+coordinate 0 most significant, each field one guard bit wider than the
+largest multiplicity needs, so sums under the vector never carry and
 numeric order is lex order.  The listing runs the counting kernel below
 first: its counts bound the blocks the walk examines, flag each block as a
 tau-atom or not, and pick the classes that partition the whole vector, the
@@ -54,7 +60,7 @@ from typing import Optional
 from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
 from .poly import Poly, convolve
-from .quotient import Ideal, reduce, residue_ops
+from .quotient import Ideal, Residue, reduce, residue_ops
 from .rings import Element, FactoredElement, Ring
 
 
@@ -104,6 +110,8 @@ class ElasticityReport:
 class _Context:
     """Per-call state: the prime multiset as a vector, each prime's residue,
     the ideal's residue product and negation, and each part-vector's residue.
+    Residues are what ``residue_ops`` takes: over Z[x] the canonical ``Poly``
+    representative, ``reduce(p, ideal).rep``, over Z the ``Residue``.
     ``pack`` and ``unpack`` convert part-vectors to and from the one packed
     layout (module docstring), ``width`` bits per field."""
 
@@ -125,7 +133,8 @@ class _Context:
         self.budget = budget
         self.primes = tuple(p for p, _ in fe.factors)
         self.vector = tuple(exp for _, exp in fe.factors)
-        self._prime_residues = tuple(reduce(p, ideal) for p in self.primes)
+        reduced = tuple(reduce(p, ideal) for p in self.primes)
+        self._prime_residues = reduced if ideal.ring is Ring.Z else tuple(r.rep for r in reduced)
         self._mul, self._neg = residue_ops(ideal)
         self.residues: dict = {}
         self.width = max(self.vector).bit_length() + 1
@@ -222,9 +231,9 @@ class _Context:
 class TauListing:
     """The tau-factorizations of one element, in canonical order, as rows of
     ascending block ranks; rank k, the k-th distinct block by its product's
-    sort key, has ``products[k]``, ``residues[k]`` (equal residues are one
-    object), ``atomic[k]`` and ``parts[k]``, its multiplicity vector over
-    the element's factors."""
+    sort key, has ``products[k]``, ``residues[k]`` (a ``Residue``; equal
+    residues are one object), ``atomic[k]`` and ``parts[k]``, its
+    multiplicity vector over the element's factors."""
 
     def __init__(self, rows: list[tuple[int, ...]], table: list[tuple]):
         self.rows = rows
@@ -257,16 +266,19 @@ def enumerate_tau_factorizations(
     found = list(vector_partitions(whole, ctx.width, [[ctx.pack(p) for p in parts] for parts in live]))
     if len(found) != total[whole]:
         raise InternalCheckFailed(f"listed {len(found)} tau-factorizations, the kernel counts {total[whole]}")
-    # One table entry per distinct block.  pass1 built its residue; its
-    # product is built the same way, on ints or coefficient lists.
+    # One table entry per distinct block.  pass1 built its residue, and the
+    # table shares one Residue per distinct value; its product is built the
+    # same way, on ints or coefficient lists.
     z = fe.ring is Ring.Z
     leaves = tuple(p.value if z else p.value.coeffs for p in ctx.primes)
     times, wrap = (mul, Element.integer) if z else (convolve, lambda c: Element.polynomial(Poly(c)))
     plain, shared, table = {}, {}, []
     for s in set().union(*found):
         part = ctx.unpack(s)
-        residue = shared.setdefault(ctx.residues[part], ctx.residues[part])
-        table.append((part, wrap(ctx.build(part, plain, leaves, times)), residue, total[s] == 1))
+        value = ctx.residues[part]
+        if value not in shared:
+            shared[value] = value if z else Residue(ideal, value)
+        table.append((part, wrap(ctx.build(part, plain, leaves, times)), shared[value], total[s] == 1))
     table.sort(key=lambda entry: entry[1].sort_key)
     rank = {ctx.pack(entry[0]): k for k, entry in enumerate(table)}
     for i, partition in enumerate(found):

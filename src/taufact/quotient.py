@@ -9,13 +9,17 @@ coincide, and for m >= 2 with g present the quotient is finite with
 m**deg(g) residues, which is enough to build the full Cayley table.
 
 ``residue_ops`` gives the product and the negation of residues modulo one
-ideal, chosen once per ideal.  Over ZZ[x] the product convolves the two
-representatives' coefficients and takes the remainder once, and the
-negation negates each coefficient mod m: a canonical representative has
-degree < deg g, and so has its negation.  Neither builds an intermediate
-``Poly`` or ``Element``.  Over ZZ both still go through ``reduce``, as
-before: plain integer arithmetic there waits for ROADMAP item 1, which
-first changes how the benchmark bills its own time against the kernel's.
+ideal, chosen once per ideal.  Over ZZ[x] both take and give canonical
+``Poly`` representatives, not ``Residue`` values: inside one call the ideal
+never changes, so the counting kernel keeps its residues bare, and
+``Residue`` is built only by ``reduce``, ``cayley_table`` and the listing's
+table.  The product convolves the two representatives' coefficients and
+takes the remainder once, and the negation negates each coefficient mod m:
+a canonical representative has degree < deg g, and so has its negation.
+Neither builds an intermediate ``Poly`` or ``Element``.  Over ZZ both still
+take and give ``Residue`` values through ``reduce``, as before: plain
+integer arithmetic there waits for ROADMAP item 1, which first changes how
+the benchmark bills its own time against the kernel's.
 
 ``cayley_table`` is the one place that computes the structure of a finite
 quotient: residues in counting order (zero and one first) and the product
@@ -120,12 +124,11 @@ def reduce(e: Element, ideal: Ideal) -> Residue:
     return Residue(ideal, remainder(list(e.value.coeffs), g, ideal.modulus))
 
 
-def residue_ops(
-    ideal: Ideal,
-) -> tuple[Callable[[Residue, Residue], Residue], Callable[[Residue], Residue]]:
-    """The product and the negation of residues modulo the ideal, both
-    taking and giving canonical residues of it; the ring's arm is chosen
-    here, once, not per residue."""
+def residue_ops(ideal: Ideal) -> tuple[Callable, Callable]:
+    """The product and the negation of residues modulo the ideal; the
+    ring's arm is chosen here, once, not per residue.  Over ZZ both take
+    and give ``Residue`` values of the ideal, over ZZ[x] their canonical
+    ``Poly`` representatives (``reduce(e, ideal).rep``)."""
     if ideal.ring is Ring.Z:
         # Through ``reduce`` on purpose (module docstring, ROADMAP item 1).
         def mul(a: Residue, b: Residue) -> Residue:
@@ -138,12 +141,12 @@ def residue_ops(
     g = ideal.generator.coeffs if ideal.generator is not None else None
     m = ideal.modulus
 
-    def mul(a: Residue, b: Residue) -> Residue:
-        return Residue(ideal, remainder(convolve(a.rep.coeffs, b.rep.coeffs), g, m))
+    def mul(a: Poly, b: Poly) -> Poly:
+        return remainder(convolve(a.coeffs, b.coeffs), g, m)
 
-    def neg(r: Residue) -> Residue:
+    def neg(r: Poly) -> Poly:
         # deg(-r) = deg r < deg g: only the coefficients need reducing
-        return Residue(ideal, remainder([-c for c in r.rep.coeffs], None, m))
+        return remainder([-c for c in r.coeffs], None, m)
 
     return mul, neg
 

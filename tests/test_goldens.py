@@ -21,6 +21,9 @@ and for a JSON case::
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,7 @@ from click.testing import CliRunner
 from taufact.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FACT_Z3 = ("factorizations", "--ring", "z", "--ideal", "3", "--primes", "2:2, 5:1, 7:1")
 FACT_X2PX = (
@@ -116,3 +120,25 @@ def test_cli_output_matches_golden(name, shared_survey):
 def test_csv_golden_rows_are_as_wide_as_the_header(path):
     header, *rows = csv.reader(path.read_text().splitlines())
     assert rows and [len(row) for row in rows] == [len(header)] * len(rows)
+
+
+def test_goldens_do_not_depend_on_the_hash_seed():
+    """Sign classes are keyed on frozensets of residues, and sets of values
+    that hash strings (a ``Residue`` hashes its ring's name) iterate in an
+    order that follows the per-process hash seed; the output must not.
+    Each command runs in a fresh interpreter under two seeds, all six at
+    once."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    runs = {
+        (seed, name): subprocess.Popen(
+            [sys.executable, "-m", "taufact.cli", *CASES[name][1], "--format", CASES[name][0]],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        )
+        for seed in ("0", "12345")
+        for name in ("factorizations_x2px_unit", "elasticity_x2px", "verify_main_7")
+    }
+    for (seed, name), proc in runs.items():
+        out = proc.communicate(timeout=60)[0]
+        assert proc.returncode == 0, (seed, name)
+        assert out == (GOLDENS / f"{name}.txt").read_bytes(), (seed, name)

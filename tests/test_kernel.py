@@ -27,7 +27,7 @@ from taufact.engine import (
 from taufact.errors import BudgetExceeded
 from taufact.partitions import vector_partitions
 from taufact.poly import Poly
-from taufact.quotient import Ideal, reduce
+from taufact.quotient import Ideal, Residue, reduce
 from taufact.rings import Element, Ring, build_factored, expand
 from taufact.verify import SUITE_IDEALS
 
@@ -249,6 +249,36 @@ def test_main_sequence_has_one_factorization_of_length_2_and_one_of_length_i(i):
     counts = kernel_length_counts(i, i)
     assert counts == closed_form_length_counts(i, i)
     assert counts[2] == counts[i] == 1
+
+
+def test_zx_kernel_builds_residues_only_at_its_edges(monkeypatch):
+    """Over Z[x] the kernel's residues are canonical polynomials: a call
+    builds one ``Residue`` per prime, in ``reduce``, and none per
+    sub-vector; a listing adds at most one per distinct residue of its
+    table.  Every construction is counted, wherever it happens."""
+    built = []
+    init = Residue.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Residue, "__init__", counting)
+    x, xp1 = Element.polynomial(Poly.x()), Element.polynomial(Poly((1, 1)))
+    a4, a9 = (build_factored(Ring.ZX, 1, [(x, i), (xp1, i)]) for i in (4, 9))
+    cubic = Element.polynomial(Poly((1, 1, 0, 1)))
+    eight = build_factored(Ring.ZX, 1, [(p, 1) for p in [*ZX_PRIMES, cubic]])
+    assert len(eight.factors) == 8
+    lemma3, lemma4 = SUITE_IDEALS["lemma3"], SUITE_IDEALS["lemma4"]
+    for fe, ideal in ((a9, lemma4), (eight, lemma3)):
+        built.clear()
+        elasticity(fe, ideal, EnumerationBudget(max_primes=18))
+        assert len(built) == len(fe.factors)
+    for fe, ideal in ((a4, lemma4), (eight, lemma3)):
+        built.clear()
+        listed = enumerate_tau_factorizations(fe, ideal)
+        assert len(built) <= len(fe.factors) + len(set(listed.residues))
+        assert list(listed.residues) == [reduce(b, ideal) for b in listed.products]
 
 
 @st.composite
