@@ -18,11 +18,14 @@ reproducible.
 
 Only residues decide the classes, so each prime is reduced once and a
 block's residue is built from a smaller block's residue times one prime's
-residue.  Over Z[x] the kernel's residues are canonical ``Poly``
-representatives, compared and hashed without the ideal, which one call
-never changes; a ``Residue`` is built once per prime by ``reduce``, and
-once per distinct residue of the listing's table.  Over Z they are still
-``Residue`` values, through ``reduce``, until ROADMAP item 1.
+residue.  Over Z[x] the kernel's residues are int ids, interned per call
+over canonical ``Poly`` representatives (the ideal never changes within
+a call): ``residue_ops`` multiplies each pair of ids once and negates each
+id once, and every later product or negation is a memo lookup, so the
+arithmetic grows with the distinct residues met, not with the sub-vectors.
+A ``Residue`` is built once per prime by ``reduce``, and once per distinct
+residue of the listing's table.  Over Z the residues are still ``Residue``
+values, each product and negation through ``reduce``, until ROADMAP item 1.
 
 The kernel and the walk share one packed layout: a sub-vector is one int,
 coordinate 0 most significant, each field one guard bit wider than the
@@ -55,7 +58,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import BudgetExceeded, InternalCheckFailed, RingMismatch, ZeroOrUnitInput
 from .partitions import vector_partitions
@@ -109,14 +112,16 @@ class ElasticityReport:
 
 class _Context:
     """Per-call state: the prime multiset as a vector, each prime's residue,
-    the ideal's residue product and negation, and each part-vector's residue.
-    Residues are what ``residue_ops`` takes: over Z[x] the canonical ``Poly``
-    representative, ``reduce(p, ideal).rep``, over Z the ``Residue``.
+    the residue product and negation, and each part-vector's residue.  Over
+    Z[x] a residue is an int id into ``reps``, the canonical ``Poly``
+    representatives met in this call, and ``residue_ops``' product and
+    negation are memoized on ids (``_interned``); over Z a residue is the
+    ``Residue`` that ``residue_ops`` takes, through ``reduce``.
     ``pack`` and ``unpack`` convert part-vectors to and from the one packed
     layout (module docstring), ``width`` bits per field."""
 
     __slots__ = (
-        "budget", "primes", "vector", "width", "shifts", "residues",
+        "budget", "primes", "vector", "width", "shifts", "residues", "reps",
         "_prime_residues", "_mul", "_neg",
     )
 
@@ -134,8 +139,13 @@ class _Context:
         self.primes = tuple(p for p, _ in fe.factors)
         self.vector = tuple(exp for _, exp in fe.factors)
         reduced = tuple(reduce(p, ideal) for p in self.primes)
-        self._prime_residues = reduced if ideal.ring is Ring.Z else tuple(r.rep for r in reduced)
         self._mul, self._neg = residue_ops(ideal)
+        if ideal.ring is Ring.Z:
+            self._prime_residues = reduced
+        else:
+            self.reps, self._prime_residues, self._mul, self._neg = _interned(
+                [r.rep for r in reduced], self._mul, self._neg
+            )
         self.residues: dict = {}
         self.width = max(self.vector).bit_length() + 1
         self.shifts = tuple(self.width * i for i in reversed(range(len(self.vector))))
@@ -228,6 +238,34 @@ class _Context:
         return value
 
 
+def _interned(leaves: list, mul, neg) -> tuple[list, tuple, Callable, Callable]:
+    """Residue ids for one call: ``reps[i]`` is residue i's canonical
+    representative, ``leaves`` become ids, and the product and negation of
+    ids run ``mul`` and ``neg`` once per pair or id met, then read a memo."""
+    reps, ids, products, negations = [], {}, {}, {}
+
+    def intern(rep) -> int:
+        i = ids.get(rep)
+        if i is None:
+            i = ids[rep] = len(reps)
+            reps.append(rep)
+        return i
+
+    def mul_ids(a: int, b: int) -> int:
+        c = products.get((a, b))
+        if c is None:
+            c = products[a, b] = intern(mul(reps[a], reps[b]))
+        return c
+
+    def neg_id(a: int) -> int:
+        c = negations.get(a)
+        if c is None:
+            c = negations[a] = intern(neg(reps[a]))
+        return c
+
+    return reps, tuple(map(intern, leaves)), mul_ids, neg_id
+
+
 class TauListing:
     """The tau-factorizations of one element, in canonical order, as rows of
     ascending block ranks; rank k, the k-th distinct block by its product's
@@ -277,7 +315,7 @@ def enumerate_tau_factorizations(
         part = ctx.unpack(s)
         value = ctx.residues[part]
         if value not in shared:
-            shared[value] = value if z else Residue(ideal, value)
+            shared[value] = value if z else Residue(ideal, ctx.reps[value])
         table.append((part, wrap(ctx.build(part, plain, leaves, times)), shared[value], total[s] == 1))
     table.sort(key=lambda entry: entry[1].sort_key)
     rank = {ctx.pack(entry[0]): k for k, entry in enumerate(table)}

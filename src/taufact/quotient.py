@@ -11,11 +11,13 @@ m**deg(g) residues, which is enough to build the full Cayley table.
 ``residue_ops`` gives the product and the negation of residues modulo one
 ideal, chosen once per ideal.  Over ZZ[x] both take and give canonical
 ``Poly`` representatives, not ``Residue`` values: inside one call the ideal
-never changes, so the counting kernel keeps its residues bare, and
-``Residue`` is built only by ``reduce``, ``cayley_table`` and the listing's
-table.  The product convolves the two representatives' coefficients and
-takes the remainder once, and the negation negates each coefficient mod m:
-a canonical representative has degree < deg g, and so has its negation.
+never changes, so the counting kernel interns the representatives as int
+ids, calls the product once per pair of ids and the negation once per id,
+and ``Residue`` is built only by ``reduce``, ``cayley_table`` and the
+listing's table.  The product convolves the two representatives'
+coefficients and takes the remainder once, and the negation negates each
+coefficient mod m: a canonical representative has degree < deg g, and so
+has its negation.
 Neither builds an intermediate ``Poly`` or ``Element``.  Over ZZ both still
 take and give ``Residue`` values through ``reduce``, as before: plain
 integer arithmetic there waits for ROADMAP item 1, which first changes how

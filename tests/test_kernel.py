@@ -10,8 +10,10 @@ kernel's atomic counts by length are also checked against a closed form
 in partition numbers, which shares no code with it.
 """
 
+import gc
+import tracemalloc
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -29,8 +31,9 @@ from taufact.partitions import vector_partitions
 from taufact.poly import Poly
 from taufact.quotient import Ideal, Residue, reduce
 from taufact.rings import Element, Ring, build_factored, expand
-from taufact.verify import SUITE_IDEALS
+from taufact.verify import SUITE_IDEALS, run_predictor_suite
 
+from kernel_count import remainder_calls
 from listing_items import factorizations, item, items
 from walk_count import walk_counts
 
@@ -279,6 +282,63 @@ def test_zx_kernel_builds_residues_only_at_its_edges(monkeypatch):
         listed = enumerate_tau_factorizations(fe, ideal)
         assert len(built) <= len(fe.factors) + len(set(listed.residues))
         assert list(listed.residues) == [reduce(b, ideal) for b in listed.products]
+
+
+def test_zx_kernel_multiplies_each_pair_of_residues_once():
+    """Over Z[x] a call runs ``remainder`` once per prime, in ``reduce``,
+    once per pair of residues it multiplies and once per residue it
+    negates, not once per sub-vector.  x^i (x+1)^i modulo (2, x^2+x) takes
+    2 + 4 + 3 at i = 9 and at i = 30, and eight primes take at most
+    primes + d + d^2, d the residues of their blocks and of the negations."""
+    x, xp1 = Element.polynomial(Poly.x()), Element.polynomial(Poly((1, 1)))
+    counts = []
+    for i in (9, 30):
+        fe = build_factored(Ring.ZX, 1, [(x, i), (xp1, i)])
+        with remainder_calls() as calls:
+            elasticity(fe, SUITE_IDEALS["lemma4"], EnumerationBudget(max_primes=60))
+        counts.append(calls["remainder"])
+    assert counts == [9, 9]
+    primes = [*ZX_PRIMES, Element.polynomial(Poly((1, 1, 0, 1)))]
+    eight = build_factored(Ring.ZX, 1, [(p, 1) for p in primes])
+    blocks = [prod(c[1:], start=c[0]) for k in range(1, 9) for c in combinations(primes, k)]
+    for suite, pinned in (("lemma1", 23), ("lemma3", 28)):
+        ideal = SUITE_IDEALS[suite]
+        d = len({reduce(b, ideal) for b in blocks} | {reduce(-b, ideal) for b in blocks})
+        with remainder_calls() as calls:
+            elasticity(eight, ideal)
+        assert calls["remainder"] == pinned <= len(primes) + d + d * d
+
+
+def test_mixed_calls_retain_no_memory():
+    """After a warm-up, 1000 calls on inputs that keep changing retain
+    under 64 KB: the kernel's per-call tables, residue ids included, die
+    with the call, and no cache outlives it."""
+    z = z_element(2, 3)
+    zx = build_factored(Ring.ZX, 1, [(Element.polynomial(Poly.x()), 1), (Element.polynomial(Poly((1, 1))), 2)])
+
+    def call(k):
+        if k % 250 == 249:
+            return run_predictor_suite("lemma4", samples=1, seed=k)
+        n = k // 3 + 2
+        if k % 3 == 0:
+            return elasticity(z, Ideal(Ring.Z, n))
+        if k % 3 == 1:
+            return elasticity(zx, Ideal(Ring.ZX, n, Poly((0, 1, 1))))
+        return enumerate_tau_factorizations(z, Ideal(Ring.Z, n))
+
+    tracemalloc.start()
+    try:
+        for k in (0, 1, 2, 249):
+            call(k)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1000):
+            call(k)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 @st.composite
